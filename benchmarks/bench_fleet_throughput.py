@@ -2,8 +2,8 @@
 
 Two measurements:
 
-* sessions/second of a fleet day at 1, 2 and 4 shards (pool workers = shards),
-  measured in two pool modes: ``cold`` (fresh worker pool — the wall time
+* sessions/second of a scalar-backend fleet day at 1, 2 and 4 shards (pool
+  workers = shards), measured in two pool modes: ``cold`` (fresh worker pool — the wall time
   includes forking the workers, the pre-pool cost model) and ``warm`` (the
   persistent pool is already running and its object cache is primed; best of
   three runs).  The warm/cold gap is the spawn overhead the persistent pool
@@ -57,6 +57,7 @@ def test_fleet_sessions_per_second(benchmark, shards):
         sessions_per_user=3,
         trace_length=100,
         seed=0,
+        backend="scalar",
     )
 
     # Cold: no pool alive — the orchestrator forks a fresh one inside run().

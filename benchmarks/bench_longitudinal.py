@@ -2,11 +2,10 @@
 
 Runs the same engagement-coupled multi-day campaign (retention-driven churn,
 profile drift, new-user influx) through both backends and reports days per
-second.  Because a longitudinal campaign forces the spec-batched fleet path
-(``spec_batched=True``), a scalar campaign and a vector campaign execute the
-*same* specs with the same per-user RNG substreams — the timing difference is
-purely the engine, and the DAU series / retention decisions are verified
-identical before the timings count.
+second.  Every fleet run keys its draws per user, so a scalar campaign and a
+vector campaign execute the *same* specs with the same per-user RNG
+substreams — the timing difference is purely the engine, and the DAU series /
+retention decisions are verified identical before the timings count.
 
 Acceptance floor: the vector backend runs the N=1000 campaign **>= 3x**
 faster than scalar (the churn loop and drift bookkeeping are shared

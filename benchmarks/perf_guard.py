@@ -13,7 +13,10 @@ ending in ``_per_second``, ``_sps`` or ``_per_s``, or exactly ``speedup`` —
 must stay within ``threshold`` of the baseline (higher is better; the guard
 only fails on regressions, never on improvements).  Rows or files present on
 only one side are reported but never fail the guard, so new benchmarks can
-land before their baselines do.
+land before their baselines do.  A *baseline* row that no current row
+matches is printed as a ``WARN`` line: its throughput went unchecked,
+typically because an identity field (e.g. ``segments``) changed and the
+baseline needs regenerating.
 
 The guard also enforces a *scaling-efficiency* rule on the fresh fleet
 throughput documents (disable with ``--no-scaling-check``): the warm-pool
@@ -79,16 +82,26 @@ def iter_row_groups(results) -> list[tuple[str, list[dict]]]:
     return []
 
 
+def _group_label(bench: str, group_name: str) -> str:
+    return f"{bench}/{group_name}" if group_name else bench
+
+
+def _row_label(identity: tuple) -> str:
+    return " ".join(f"{k}={v}" for k, v in identity) or "<row>"
+
+
 def compare_documents(
     bench: str, current: dict, baseline: dict, threshold: float
-) -> tuple[list[str], list[str]]:
+) -> tuple[list[str], list[str], list[str]]:
     """Compare one benchmark document pair.
 
-    Returns ``(failures, notes)`` — human-readable lines; any failure line
-    means a throughput field regressed past the threshold.
+    Returns ``(failures, notes, warnings)`` — human-readable lines; any
+    failure line means a throughput field regressed past the threshold, and
+    each warning names a baseline row that no current row matched.
     """
     failures: list[str] = []
     notes: list[str] = []
+    matched: set[tuple[str, tuple]] = set()
     baseline_groups = dict(iter_row_groups(baseline.get("results")))
     for group_name, current_rows in iter_row_groups(current.get("results")):
         baseline_rows = baseline_groups.get(group_name)
@@ -96,14 +109,15 @@ def compare_documents(
             notes.append(f"{bench}: group {group_name!r} has no baseline; skipped")
             continue
         baseline_by_id = {row_identity(row): row for row in baseline_rows}
-        label = f"{bench}/{group_name}" if group_name else bench
+        label = _group_label(bench, group_name)
         for row in current_rows:
             identity = row_identity(row)
             base_row = baseline_by_id.get(identity)
-            row_label = " ".join(f"{k}={v}" for k, v in identity) or "<row>"
+            row_label = _row_label(identity)
             if base_row is None:
                 notes.append(f"{label}: no baseline row for ({row_label}); skipped")
                 continue
+            matched.add((group_name, identity))
             for field in sorted(row):
                 if not is_throughput_field(field):
                     continue
@@ -123,7 +137,14 @@ def compare_documents(
                     failures.append(line + f" — below -{threshold:.0%} floor")
                 else:
                     notes.append(line)
-    return failures, notes
+    warnings = [
+        f"{_group_label(bench, group_name)}: baseline row "
+        f"({_row_label(identity)}) matched no current row; not compared"
+        for group_name, rows in baseline_groups.items()
+        for identity in map(row_identity, rows)
+        if (group_name, identity) not in matched
+    ]
+    return failures, notes, warnings
 
 
 def _warm_sessions_per_second(document: dict) -> float | None:
@@ -189,13 +210,15 @@ def run_guard(
             continue
         current = json.loads(path.read_text())
         baseline = json.loads(baseline_path.read_text())
-        failures, notes = compare_documents(
+        failures, notes, warnings = compare_documents(
             current.get("bench", name), current, baseline, threshold
         )
         compared += 1
         if verbose:
             for note in notes:
                 print(f"  ok   {note}")
+        for warning in warnings:
+            print(f"  WARN {warning}", file=sys.stderr)
         for failure in failures:
             print(f"  FAIL {failure}", file=sys.stderr)
         all_failures.extend(failures)

@@ -76,6 +76,9 @@ def main(argv: list[str] | None = None) -> None:
             sessions_per_user=args.sessions_per_user,
             trace_length=args.trace_length,
             seed=0,
+            # the CPU-bound reference engine: enough per-shard work for
+            # parallel dispatch to pay off
+            backend="scalar",
         )
 
     # Inline reference: single shard, no pool.
@@ -92,11 +95,17 @@ def main(argv: list[str] | None = None) -> None:
     finally:
         shutdown_shared_pools()
 
-    if pooled_result.metrics.num_sessions != inline_result.metrics.num_sessions:
+    # Every user's traffic is independent of the shard layout, so the
+    # integer aggregates must match exactly (float sums follow shard order).
+    def counts(result):
+        metrics = result.metrics
+        return (metrics.num_sessions, metrics.num_segments,
+                metrics.exited_sessions, metrics.segment_exits)
+
+    if counts(pooled_result) != counts(inline_result):
         raise SystemExit(
-            "pooled run produced a different session count: "
-            f"{pooled_result.metrics.num_sessions} vs "
-            f"{inline_result.metrics.num_sessions}"
+            "pooled run produced different fleet counts: "
+            f"{counts(pooled_result)} vs {counts(inline_result)}"
         )
 
     speedup = inline_time / pooled_time

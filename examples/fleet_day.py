@@ -43,7 +43,7 @@ def main() -> None:
     )
     parser.add_argument(
         "--backend",
-        default="scalar",
+        default="vector",
         choices=available_backends(),
         help="simulation backend executing each shard's sessions",
     )

@@ -52,7 +52,7 @@ def _parse_args() -> argparse.Namespace:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--influx", type=int, default=8, help="new users per day")
     parser.add_argument(
-        "--backend", default="scalar", choices=available_backends(),
+        "--backend", default="vector", choices=available_backends(),
         help="simulation backend (campaigns are bit-identical across backends)",
     )
     parser.add_argument(

@@ -34,6 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.obs import live as obs_live
 from repro.sim.bandwidth import BandwidthTrace
 from repro.sim.session import (
     ABRPolicy,
@@ -184,8 +185,9 @@ class ScalarBackend(SimBackend):
                 specs, network, config, link_usage=link_usage
             )
         engine = PlaybackSession(config)
-        return [
-            engine.run(
+        traces = []
+        for spec, seed in zip(specs, resolve_session_seeds(specs)):
+            trace = engine.run(
                 spec.abr,
                 spec.video,
                 spec.trace,
@@ -193,8 +195,9 @@ class ScalarBackend(SimBackend):
                 rng=session_rng(seed),
                 user_id=spec.user_id,
             )
-            for spec, seed in zip(specs, resolve_session_seeds(specs))
-        ]
+            traces.append(trace)
+            obs_live.add_sessions(1, len(trace))
+        return traces
 
 
 # --------------------------------------------------------------------------- #

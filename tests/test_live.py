@@ -53,14 +53,16 @@ def _run_fleet(population, library, *, shards, workers=0, status=None,
                profile=False, abr_factory=None, interval=0.05,
                stall_intervals=8, **overrides):
     config = FleetConfig(
-        num_shards=shards,
-        num_workers=workers,
-        sessions_per_user=2,
-        trace_length=40,
-        seed=9,
-        backend="vector",
-        network="dual_isp",
-        **overrides,
+        **{
+            "num_shards": shards,
+            "num_workers": workers,
+            "sessions_per_user": 2,
+            "trace_length": 40,
+            "seed": 9,
+            "backend": "vector",
+            "network": "dual_isp",
+            **overrides,
+        }
     )
     orchestrator = FleetOrchestrator(config)
     if profile:
@@ -294,6 +296,27 @@ class TestTraceNeutrality:
         assert plain.obs_report["metrics"]["counters"] == monitored.obs_report[
             "metrics"
         ]["counters"]
+
+
+class TestScalarProgress:
+    def test_scalar_backend_reports_every_session_live(
+        self, population, library, tmp_path, monkeypatch
+    ):
+        """The scalar backend publishes per-session progress as it goes, so
+        the monitor never sits at zero until a scalar shard finishes."""
+        calls = []
+        original = HeartbeatPublisher.add_sessions
+
+        def record(self, sessions, segments=0):
+            calls.append((sessions, segments))
+            original(self, sessions, segments)
+
+        monkeypatch.setattr(HeartbeatPublisher, "add_sessions", record)
+        result = _run_fleet(population, library, shards=2, status=tmp_path / "s.json",
+                            backend="scalar", network=None)
+        assert calls and all(sessions == 1 for sessions, _ in calls)
+        assert sum(sessions for sessions, _ in calls) == result.metrics.num_sessions
+        assert sum(segments for _, segments in calls) == result.metrics.num_segments
 
 
 class SlowFactory(HybFleetFactory):

@@ -19,9 +19,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.exit_predictor import ExitRatePredictor
+from repro.core.monte_carlo import MonteCarloConfig
 from repro.fleet import (
     FleetConfig,
     FleetOrchestrator,
+    LingXiFleetFactory,
     LinkOutageScenario,
     get_scenario,
     replay_link_utilization,
@@ -216,17 +219,20 @@ class TestNetworkedFleet:
         np.testing.assert_array_equal(replayed.active_sessions, live.active_sessions)
         assert replayed.mean_utilization() == live.mean_utilization()
 
+    @pytest.mark.parametrize("num_workers", [0, 2])
+    @pytest.mark.parametrize("networked", [False, True], ids=["uncoupled", "toy"])
     def test_scalar_and_vector_backends_agree_on_networked_fleets(
-        self, population, library
+        self, population, library, networked, num_workers
     ):
-        topology = _topology()
+        """Every fleet run — uncoupled or networked, inline or pooled — is
+        bit-identical across backends: there is one shard path."""
         kwargs = dict(
             num_shards=2,
-            num_workers=0,
+            num_workers=num_workers,
             sessions_per_user=2,
             trace_length=40,
             seed=7,
-            network=topology,
+            network=_topology() if networked else None,
         )
         scalar = FleetOrchestrator(FleetConfig(backend="scalar", **kwargs)).run(
             population, library, scenario="evening_peak"
@@ -236,6 +242,30 @@ class TestNetworkedFleet:
         )
         assert _session_map(scalar) == _session_map(vector)
         assert scalar.link_usage == vector.link_usage
+        assert scalar.metrics == vector.metrics
+
+    def test_scalar_and_vector_backends_agree_on_lingxi_fleets(
+        self, population, library
+    ):
+        """Per-user LingXi controllers see the same sessions on both
+        backends, so their carried-over state matches too."""
+        factory = LingXiFleetFactory(
+            ExitRatePredictor(channels=8, hidden=16, seed=0),
+            monte_carlo=MonteCarloConfig(num_samples=2, seed=0),
+        )
+        small = UserPopulation(list(population)[:6])
+        kwargs = dict(
+            num_shards=2, num_workers=0, sessions_per_user=1, trace_length=40, seed=3
+        )
+        scalar, vector = (
+            FleetOrchestrator(FleetConfig(backend=backend, **kwargs)).run(
+                small, library, abr_factory=factory
+            )
+            for backend in ("scalar", "vector")
+        )
+        assert _session_map(scalar) == _session_map(vector)
+        assert scalar.controller_states == vector.controller_states
+        assert set(scalar.controller_states) == {p.user_id for p in small}
 
     def test_config_validation_and_registry(self):
         with pytest.raises(KeyError):
