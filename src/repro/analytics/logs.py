@@ -134,7 +134,7 @@ class LogCollection:
         watched = 0
         exited = 0
         if predicate is None:
-            # Fast path over the cached per-trace record arrays.
+            # Fast path over the trace columns.
             for session in self._sessions:
                 exited_flags = session.trace.exited_flags
                 watched += exited_flags.size
@@ -199,7 +199,7 @@ class LogCollection:
         watched = np.zeros(edges.size)
         exited = np.zeros(edges.size)
         if record_filter is None:
-            # Fast path: bin every trace's cached cumulative-stall vector at once.
+            # Fast path: bin every trace's cumulative-stall column at once.
             for session in self._sessions:
                 cumulative = session.trace.cumulative_stall_times
                 if cumulative.size == 0:
@@ -231,9 +231,9 @@ class LogCollection:
         sums = np.zeros(num_levels)
         counts = np.zeros(num_levels)
         for session in self._sessions:
-            if not session.records:
+            if not len(session.trace):
                 continue
-            levels = [r.level for r in session.records]
+            levels = session.trace.levels
             dominant = int(np.bincount(levels, minlength=num_levels).argmax())
             sums[dominant] += session.watch_time
             counts[dominant] += 1
@@ -299,10 +299,9 @@ class LogCollection:
         for session in self._sessions:
             if session.total_stall_time <= 0:
                 continue
+            stall_times = session.trace.stall_times
             exited_on_stall = (
-                session.exited_early
-                and session.records
-                and session.records[-1].stall_time > 0
+                session.exited_early and stall_times.size and stall_times[-1] > 0
             )
             if not exited_on_stall:
                 tolerated[session.user_id].append(session.total_stall_time)

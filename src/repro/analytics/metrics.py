@@ -64,9 +64,11 @@ def aggregate_daily_metrics(
         watch_time = sum(s.watch_time for s in day_sessions)
         stall_time = sum(s.total_stall_time for s in day_sessions)
         stall_count = sum(s.stall_count for s in day_sessions)
-        bitrates = [s.trace.mean_bitrate_kbps for s in day_sessions if s.records]
+        bitrates = [s.trace.mean_bitrate_kbps for s in day_sessions if len(s.trace)]
         qoe_values = [
-            session_qoe_lin(s.trace, stall_penalty=stall_penalty) for s in day_sessions if s.records
+            session_qoe_lin(s.trace, stall_penalty=stall_penalty)
+            for s in day_sessions
+            if len(s.trace)
         ]
         rows.append(
             GroupDailyMetrics(

@@ -680,10 +680,11 @@ class FleetOrchestrator:
         with obs.span("fleet.run_shards"):
             # Both execution paths emit the same span skeleton
             # (``shard.spawn``, then ``shard.map`` wrapping
-            # ``pool.dispatch``/``pool.drain``) so a profiled run's tree has
-            # the same structure at any shard/worker count; inline runs
-            # record ~zero spawn time, and a pre-warmed shared pool records
-            # ~zero there too — that is the point of keeping it alive.
+            # ``pool.dispatch`` and ``pool.drain → pool.decode``) so a
+            # profiled run's tree has the same structure at any shard/worker
+            # count; inline runs record ~zero spawn and decode time, and a
+            # pre-warmed shared pool records ~zero spawn time too — that is
+            # the point of keeping it alive.
             pool = None
             with obs.span("shard.spawn"):
                 if workers > 1 and len(tasks) > 1:
@@ -693,7 +694,8 @@ class FleetOrchestrator:
                     with obs.span("pool.dispatch"):
                         outputs = [_run_shard(task) for task in tasks]
                     with obs.span("pool.drain"):
-                        pass
+                        with obs.span("pool.decode"):
+                            pass
                 else:
                     outputs = pool.run(
                         self._descriptors(
@@ -804,7 +806,9 @@ def write_fleet_telemetry(result: FleetResult, path: str | Path) -> Path:
                 # into its shared-memory arena — stream the bytes verbatim.
                 writer.write_raw(output.telemetry_blob)
             else:
-                writer.emit_many(iter_shard_events(result.run_id, output))
+                # Streamed event by event, so no whole-shard blob is held.
+                with obs.span("telemetry.encode"):
+                    writer.emit_many(iter_shard_events(result.run_id, output))
         if result.obs_report is not None:
             writer.emit(
                 TelemetryEvent(

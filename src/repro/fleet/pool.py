@@ -20,13 +20,13 @@ workers makes the run *slower* — the anti-scaling recorded in
   slice and `SeedSequence` locally from ``(seed, num_shards, shard_index)``,
   which is deterministic by construction.
 * **Shared-memory results.**  A worker writes its shard's result — session
-  metadata, the columnar trace export of :func:`repro.sim.vector.
-  export_trace_columns`, link-usage columns, pickled controller states and
-  the pre-encoded telemetry JSONL blob — into one of its two shared-memory
-  arenas.  The parent maps the arena with zero-copy numpy views, materialises
-  the :class:`ShardOutput`, and acks the arena slot so the worker may reuse
-  it.  Only the tiny layout dict (and the obs snapshot, when profiling)
-  travels over the pipe.
+  metadata, every trace column concatenated across the shard's sessions
+  (plus per-trace offsets), link-usage columns, pickled controller states
+  and the pre-encoded telemetry JSONL blob — into one of its two
+  shared-memory arenas.  The parent copies each trace column out once and
+  hands every trace its slice of it, materialises the :class:`ShardOutput`,
+  and acks the arena slot so the worker may reuse it.  Only the tiny layout
+  dict (and the obs snapshot, when profiling) travels over the pipe.
 
 Determinism: the pool executes the exact same ``_run_shard`` function on the
 exact same :class:`ShardTask` values the inline path builds, so pooled fleet
@@ -57,12 +57,7 @@ import numpy as np
 
 from repro import obs
 from repro.obs import live as obs_live
-from repro.sim.vector import (
-    _align8,
-    export_trace_columns,
-    import_trace_columns,
-    trace_columns_nbytes,
-)
+from repro.sim.session import TRACE_RECORD_COLUMNS, PlaybackTrace
 
 #: Arena slots per worker: double buffering lets a worker start its next
 #: shard while the parent is still draining the previous one.
@@ -80,15 +75,22 @@ MAX_INFLIGHT = 2
 #: populations, topologies).  LRU eviction, driven by the parent.
 CACHE_CAPACITY = 32
 
-_RESULT_FORMAT_VERSION = 1
+_RESULT_FORMAT_VERSION = 2
 
-#: Fixed order of the numeric result columns in an arena.
+#: Fixed order of the numeric result columns in an arena.  ``record.*`` are
+#: the shard's trace columns concatenated in session order;
+#: ``session.offsets`` (one more entry than sessions) delimits each trace.
 _RESULT_ARRAYS = (
     "session.user",
     "session.trace",
     "session.day",
     "session.index",
     "session.mean_bw",
+    "session.video_duration",
+    "session.segment_duration",
+    "session.exited_early",
+    "session.offsets",
+    *(f"record.{name}" for name, _ in TRACE_RECORD_COLUMNS),
     "usage.step",
     "usage.link",
     "usage.active",
@@ -162,6 +164,10 @@ class ShardDescriptor:
 # --------------------------------------------------------------------------- #
 # Result packing (worker side) / unpacking (parent side)
 # --------------------------------------------------------------------------- #
+def _align8(offset: int) -> int:
+    return (offset + 7) & ~7
+
+
 def _encode_result_arrays(output) -> tuple[dict, bytes, bytes]:
     """Columnar arrays + string table + controller pickle for one output."""
     users: dict[str, int] = {}
@@ -178,6 +184,7 @@ def _encode_result_arrays(output) -> tuple[dict, bytes, bytes]:
         links.setdefault(sample.link_id, len(links))
         for sample in output.link_usage
     ]
+    traces = [log.trace for log in output.sessions]
     # Tier travels in the string table, parallel to ``links`` (a link's tier
     # is constant within a run, so one entry per link id suffices).
     link_tiers: dict[str, str] = {}
@@ -194,6 +201,18 @@ def _encode_result_arrays(output) -> tuple[dict, bytes, bytes]:
         ),
         "session.mean_bw": np.asarray(
             [log.mean_bandwidth_kbps for log in output.sessions], dtype=np.float64
+        ),
+        "session.video_duration": np.asarray(
+            [trace.video_duration for trace in traces], dtype=np.float64
+        ),
+        "session.segment_duration": np.asarray(
+            [trace.segment_duration for trace in traces], dtype=np.float64
+        ),
+        "session.exited_early": np.asarray(
+            [trace.exited_early for trace in traces], dtype=np.bool_
+        ),
+        "session.offsets": np.cumsum(
+            [0] + [len(trace) for trace in traces], dtype=np.int64
         ),
         "usage.step": np.asarray(
             [sample.step for sample in output.link_usage], dtype=np.int64
@@ -212,6 +231,10 @@ def _encode_result_arrays(output) -> tuple[dict, bytes, bytes]:
             [sample.allocated_kbps for sample in output.link_usage], dtype=np.float64
         ),
     }
+    for name, dtype in TRACE_RECORD_COLUMNS:
+        arrays[f"record.{name}"] = np.concatenate(
+            [np.empty(0, dtype), *(trace.columns[name] for trace in traces)]
+        )
     strings = json.dumps(
         {
             "users": list(users),
@@ -227,7 +250,7 @@ def _encode_result_arrays(output) -> tuple[dict, bytes, bytes]:
 
 
 def _layout_result(
-    buf, *, arrays: dict, strings: bytes, traces, controller: bytes,
+    buf, *, arrays: dict, strings: bytes, controller: bytes,
     telemetry: bytes | None,
 ) -> tuple[dict, int]:
     """Write (``buf`` given) or measure (``buf=None``) one packed result.
@@ -260,15 +283,6 @@ def _layout_result(
     put_bytes("strings", strings)
     for name in _RESULT_ARRAYS:
         put_array(name, arrays[name])
-    num_traces = len(traces)
-    num_records = sum(len(trace.records) for trace in traces)
-    position = _align8(position)
-    if buf is None:
-        position += trace_columns_nbytes(num_traces, num_records, offset=position)
-        layout["trace_columns"] = None
-    else:
-        trace_layout, position = export_trace_columns(traces, buf, offset=position)
-        layout["trace_columns"] = trace_layout
     put_bytes("controller", controller)
     if telemetry is not None:
         put_bytes("telemetry", telemetry)
@@ -293,22 +307,43 @@ def _decode_shard_output(buf, layout: dict, shard_index: int, extra: dict):
         offset, length = regions[name]
         return bytes(buf[offset : offset + length])
 
-    def get_list(name: str) -> list:
+    def get_array(name: str) -> np.ndarray:
         offset, count, dtype = regions[name]
-        return np.frombuffer(
-            buf, dtype=np.dtype(dtype), count=count, offset=offset
-        ).tolist()
+        return np.frombuffer(buf, dtype=np.dtype(dtype), count=count, offset=offset)
+
+    def get_list(name: str) -> list:
+        return get_array(name).tolist()
 
     strings = json.loads(get_bytes("strings").decode("utf-8"))
-    user_idx = get_list("session.user")
-    trace_idx = get_list("session.trace")
-    user_ids = [strings["users"][i] for i in user_idx]
-    traces = import_trace_columns(
-        buf,
-        layout["trace_columns"],
-        user_ids=user_ids,
-        trace_names=[strings["traces"][i] for i in trace_idx],
-    )
+    user_ids = [strings["users"][i] for i in get_list("session.user")]
+    trace_names = [strings["traces"][i] for i in get_list("session.trace")]
+    # Each trace column leaves the arena in one copy; traces slice it.
+    columns = {}
+    for name, _ in TRACE_RECORD_COLUMNS:
+        column = get_array(f"record.{name}").copy()
+        column.setflags(write=False)
+        columns[name] = column
+    offsets = get_list("session.offsets")
+    traces = [
+        PlaybackTrace(
+            user_id=user_ids[i],
+            video_duration=video_duration,
+            segment_duration=segment_duration,
+            trace_name=trace_names[i],
+            columns={
+                name: column[offsets[i] : offsets[i + 1]]
+                for name, column in columns.items()
+            },
+            exited_early=exited_early,
+        )
+        for i, (video_duration, segment_duration, exited_early) in enumerate(
+            zip(
+                get_list("session.video_duration"),
+                get_list("session.segment_duration"),
+                get_list("session.exited_early"),
+            )
+        )
+    ]
     sessions = [
         SessionLog(
             user_id=user_ids[i],
@@ -406,6 +441,24 @@ def _descriptor_task(descriptor: ShardDescriptor, cache: dict):
     )
 
 
+def _encode_telemetry(descriptor: ShardDescriptor, output) -> bytes:
+    """The shard's telemetry blob; profiled runs time it as ``telemetry.encode``.
+
+    The span lands in the shard's obs snapshot beside ``shard.run``, so the
+    parent's report shows the worker-side encode cost.
+    """
+    from repro.fleet.telemetry import encode_shard_events
+
+    if not descriptor.profile:
+        return encode_shard_events(descriptor.run_id, output)
+    with obs.collect() as collector:
+        collector.merge_snapshot(output.obs)
+        with obs.span("telemetry.encode"):
+            blob = encode_shard_events(descriptor.run_id, output)
+        output.obs = collector.snapshot()
+    return blob
+
+
 def _worker_main(parent_conn, conn, worker_index: int) -> None:
     """Worker loop: resolve descriptors, run shards, pack results into
     shared-memory arenas, alternate slots under the parent's ack protocol."""
@@ -413,7 +466,6 @@ def _worker_main(parent_conn, conn, worker_index: int) -> None:
     obs.disable()  # a fork may inherit an enabled parent collector
     obs_live.reset_after_fork()  # ...and an inherited LiveRun/publisher
     from repro.fleet.orchestrator import _run_shard
-    from repro.fleet.telemetry import encode_shard_events
 
     cache: dict[int, object] = {}
     arenas: list[shared_memory.SharedMemory | None] = [None] * ARENAS_PER_WORKER
@@ -464,14 +516,13 @@ def _worker_main(parent_conn, conn, worker_index: int) -> None:
                         obs_live.attach_worker(*descriptor.heartbeat)
                     output = _run_shard(_descriptor_task(descriptor, cache))
                     telemetry = (
-                        encode_shard_events(descriptor.run_id, output)
+                        _encode_telemetry(descriptor, output)
                         if descriptor.telemetry
                         else None
                     )
                     arrays, strings, controller = _encode_result_arrays(output)
-                    traces = [log.trace for log in output.sessions]
                     _, nbytes = _layout_result(
-                        None, arrays=arrays, strings=strings, traces=traces,
+                        None, arrays=arrays, strings=strings,
                         controller=controller, telemetry=telemetry,
                     )
                     slot = task_count % ARENAS_PER_WORKER
@@ -494,7 +545,7 @@ def _worker_main(parent_conn, conn, worker_index: int) -> None:
                         )
                         arenas[slot] = arena
                     layout, _ = _layout_result(
-                        arena.buf, arrays=arrays, strings=strings, traces=traces,
+                        arena.buf, arrays=arrays, strings=strings,
                         controller=controller, telemetry=telemetry,
                     )
                     acked[slot] = False
@@ -669,7 +720,8 @@ class WorkerPool:
 
     def _drain_result(self, worker, slot, name, layout, shard_index, extra):
         arena = self._attach(worker, slot, name)
-        output = _decode_shard_output(arena.buf, layout, shard_index, extra)
+        with obs.span("pool.decode"):
+            output = _decode_shard_output(arena.buf, layout, shard_index, extra)
         obs.counter_add("pool.shm_result_bytes", int(extra["result_bytes"]))
         if output.telemetry_blob is not None:
             obs.counter_add("pool.shm_telemetry_bytes", len(output.telemetry_blob))

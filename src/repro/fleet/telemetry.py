@@ -12,10 +12,11 @@ run.  Event types emitted by the orchestrator:
 ``run_start``
     One per run; payload carries the fleet configuration summary.
 ``session``
-    One per playback session; payload carries the full session log (per-segment
-    records included) so a telemetry file can be replayed into a
-    :class:`~repro.analytics.logs.LogCollection` that is *exactly* equal to the
-    in-memory one — floats survive the JSON roundtrip bit-for-bit.
+    One per playback session; payload carries the full session log, its trace
+    as ``"columns"`` (one list per segment-record field), so a telemetry file
+    can be replayed into a :class:`~repro.analytics.logs.LogCollection` that
+    is *exactly* equal to the in-memory one — floats survive the JSON
+    roundtrip bit-for-bit.
 ``shard_summary``
     One per shard; payload carries the shard's session/segment counters.
 ``link_utilization``
@@ -41,7 +42,7 @@ live simulation output.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -49,7 +50,7 @@ import numpy as np
 
 from repro.analytics.logs import LinkUtilizationLog, LogCollection, SessionLog
 from repro.net.allocator import LinkUsageSample
-from repro.sim.session import PlaybackTrace, SegmentRecord
+from repro.sim.session import PlaybackTrace
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,11 @@ def read_events(path: str | Path) -> Iterator[TelemetryEvent]:
 # Session (de)serialisation
 # --------------------------------------------------------------------------- #
 def session_payload(log: SessionLog) -> dict:
-    """Full JSON payload of one session log (replayable without loss)."""
+    """Full JSON payload of one session log (replayable without loss).
+
+    The trace travels as ``"columns"``: one list per
+    :class:`~repro.sim.session.SegmentRecord` field, in field order.
+    """
     trace = log.trace
     return {
         "day": int(log.day),
@@ -191,18 +196,25 @@ def session_payload(log: SessionLog) -> dict:
         "segment_duration": float(trace.segment_duration),
         "trace_name": str(trace.trace_name),
         "exited_early": bool(trace.exited_early),
-        "records": [asdict(record) for record in trace.records],
+        "columns": {name: column.tolist() for name, column in trace.columns.items()},
     }
 
 
 def session_from_payload(user_id: str, payload: dict) -> SessionLog:
     """Inverse of :func:`session_payload`."""
+    if "columns" not in payload:
+        if "records" in payload:
+            raise ValueError(
+                "session event uses the old per-segment 'records' schema; "
+                "this reader only understands the 'columns' schema"
+            )
+        raise ValueError("session event payload has no 'columns'")
     trace = PlaybackTrace(
         user_id=user_id,
         video_duration=float(payload["video_duration"]),
         segment_duration=float(payload["segment_duration"]),
         trace_name=str(payload["trace_name"]),
-        records=[SegmentRecord(**raw) for raw in payload["records"]],
+        columns=payload["columns"],
         exited_early=bool(payload["exited_early"]),
     )
     return SessionLog(

@@ -74,12 +74,8 @@ class _LiveSession:
         if config.max_segments is not None:
             self.limit = min(self.limit, config.max_segments)
         self.start = spec.start_step
-        self.playback = PlaybackTrace(
-            user_id=spec.user_id,
-            video_duration=spec.video.duration,
-            segment_duration=spec.video.segment_duration,
-            trace_name=spec.trace.name,
-        )
+        self.records: list[SegmentRecord] = []
+        self.exited_early = False
         self.throughput_history: list[float] = []
         self.last_level: int | None = None
         self.cumulative_stall = 0.0
@@ -152,7 +148,7 @@ class _LiveSession:
                 raise ValueError("exit probability must be in [0, 1]")
             exited = bool(self.rng.random() < exit_probability)
 
-        self.playback.records.append(
+        self.records.append(
             SegmentRecord(
                 segment_index=k,
                 level=level,
@@ -173,12 +169,24 @@ class _LiveSession:
         )
         observe = getattr(spec.abr, "observe", None)
         if observe is not None:
-            observe(self.playback.records[-1])
+            observe(self.records[-1])
         self.last_level = level
         if exited:
-            self.playback.exited_early = True
+            self.exited_early = True
             return False
         return True
+
+    def playback(self) -> PlaybackTrace:
+        """The finished session's trace (its records converted to columns)."""
+        spec = self.spec
+        return PlaybackTrace.from_records(
+            self.records,
+            user_id=spec.user_id,
+            video_duration=spec.video.duration,
+            segment_duration=spec.video.segment_duration,
+            trace_name=spec.trace.name,
+            exited_early=self.exited_early,
+        )
 
 
 def run_networked_scalar(
@@ -269,4 +277,4 @@ def run_networked_scalar(
                     if not sessions[index].step(slot, float(allocations[index])):
                         alive[index] = False
 
-    return [session.playback for session in sessions]
+    return [session.playback() for session in sessions]

@@ -11,15 +11,22 @@ A :class:`PlaybackSession` joins three pieces around a
   video — this is the per-segment exit behaviour the paper's Monte-Carlo
   evaluator and pre-deployment simulation build on.
 
-The session produces a :class:`PlaybackTrace` of per-segment
-:class:`SegmentRecord` entries carrying everything later stages need
-(analytics, exit-rate predictor features, production-log synthesis).
+The session produces a :class:`PlaybackTrace` carrying everything later
+stages need (analytics, exit-rate predictor features, production-log
+synthesis).  A trace owns one read-only numpy column per
+:class:`SegmentRecord` field; the engines, the worker pool and the telemetry
+codec all hand these columns along as-is, and per-segment
+:class:`SegmentRecord` objects are only materialised (lazily, as plain
+Python scalars) for callers that index :attr:`PlaybackTrace.records`.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import operator
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from types import MappingProxyType
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -118,57 +125,116 @@ class SegmentRecord:
     exited: bool
 
 
-#: Column layout of the cached per-record array of :class:`PlaybackTrace`.
-_COL_STALL, _COL_BITRATE, _COL_LEVEL, _COL_CUM_STALL, _COL_EXITED = range(5)
+_FIELD_DTYPES = {"int": np.int64, "float": np.float64, "bool": np.bool_}
+
+#: ``(field_name, dtype)`` per :class:`SegmentRecord` field, in declaration
+#: order (which is also the record's positional-constructor order): the
+#: columns a :class:`PlaybackTrace` owns.
+TRACE_RECORD_COLUMNS: tuple[tuple[str, np.dtype], ...] = tuple(
+    (f.name, np.dtype(_FIELD_DTYPES[f.type])) for f in dataclasses.fields(SegmentRecord)
+)
+_COLUMN_NAMES = tuple(name for name, _ in TRACE_RECORD_COLUMNS)
+_COLUMN_SET = frozenset(_COLUMN_NAMES)
+_record_values = operator.attrgetter(*_COLUMN_NAMES)
+_EMPTY_COLUMNS = {name: np.empty(0, dtype=dtype) for name, dtype in TRACE_RECORD_COLUMNS}
 
 
-@dataclass
+@dataclass(frozen=True, eq=False, slots=True)
 class PlaybackTrace:
-    """Full record of one playback session."""
+    """Full record of one playback session, held as per-field columns.
+
+    ``columns`` maps every :class:`SegmentRecord` field to a read-only 1-D
+    numpy array (int64, float64 or bool; see :data:`TRACE_RECORD_COLUMNS`),
+    one entry per played segment; omitted, the trace is empty.  The arrays
+    passed in are adopted, not copied, and marked read-only; producers hand
+    over arrays nothing else writes.  :attr:`records` materialises the
+    per-segment view lazily (plain Python scalars), and every aggregate
+    reads the columns directly.
+
+    A trace is immutable once built; equality compares the metadata and the
+    columns bit for bit.
+    """
 
     user_id: str = "user"
     video_duration: float = 0.0
     segment_duration: float = 0.0
     trace_name: str = ""
-    records: list[SegmentRecord] = field(default_factory=list)
+    columns: Mapping[str, np.ndarray] | None = field(default=None, repr=False)
     exited_early: bool = False
-    #: Lazily built (n, 5) array of per-record aggregates; rebuilt whenever the
-    #: number of records changes (records are append-only in practice).
-    _record_cache: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
+    _records: tuple[SegmentRecord, ...] | None = field(
+        default=None, init=False, repr=False
     )
 
+    def __post_init__(self) -> None:
+        columns = _EMPTY_COLUMNS if self.columns is None else self.columns
+        if columns.keys() != _COLUMN_SET:
+            raise ValueError(
+                f"trace columns must be exactly the SegmentRecord fields, "
+                f"got {sorted(columns)}"
+            )
+        owned = {
+            name: np.asarray(columns[name], dtype=dtype)
+            for name, dtype in TRACE_RECORD_COLUMNS
+        }
+        shapes = {array.shape for array in owned.values()}
+        if len(shapes) != 1 or len(shapes.pop()) != 1:
+            raise ValueError("trace columns must be 1-D and of equal length")
+        for array in owned.values():
+            array.setflags(write=False)
+        object.__setattr__(self, "columns", MappingProxyType(owned))
+
+    @classmethod
+    def from_records(
+        cls, records: Sequence[SegmentRecord], **metadata
+    ) -> "PlaybackTrace":
+        """Build a trace from a list of records (the one record-list constructor)."""
+        values = list(zip(*map(_record_values, records)))
+        if not values:
+            return cls(**metadata)
+        return cls(columns=dict(zip(_COLUMN_NAMES, values)), **metadata)
+
+    def __reduce__(self):
+        return PlaybackTrace, (
+            self.user_id, self.video_duration, self.segment_duration,
+            self.trace_name, dict(self.columns), self.exited_early,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PlaybackTrace):
+            return NotImplemented
+        return (
+            self.user_id == other.user_id
+            and self.video_duration == other.video_duration
+            and self.segment_duration == other.segment_duration
+            and self.trace_name == other.trace_name
+            and self.exited_early == other.exited_early
+            and all(
+                self.columns[name].tobytes() == other.columns[name].tobytes()
+                for name in _COLUMN_NAMES
+            )
+        )
+
     def __len__(self) -> int:
-        return len(self.records)
+        return self.columns["segment_index"].size
 
-    def record_array(self) -> np.ndarray:
-        """Cached (n, 5) array: stall time, bitrate, level, cumulative stall, exited.
-
-        The aggregate properties below (and the analytics inner loops) all read
-        from this single array instead of rebuilding Python lists per access.
-        The cache is invalidated by length, which covers the append-only way
-        the session engine grows a trace.
-        """
-        if self._record_cache is None or self._record_cache.shape[0] != len(self.records):
-            self._record_cache = np.asarray(
-                [
-                    (
-                        r.stall_time,
-                        r.bitrate_kbps,
-                        float(r.level),
-                        r.cumulative_stall_time,
-                        float(r.exited),
-                    )
-                    for r in self.records
-                ],
-                dtype=float,
-            ).reshape(len(self.records), 5)
-        return self._record_cache
+    @property
+    def records(self) -> tuple[SegmentRecord, ...]:
+        """Per-segment records, built once from the columns on first access."""
+        records = self._records
+        if records is None:
+            records = tuple(
+                map(
+                    SegmentRecord,
+                    *(self.columns[name].tolist() for name in _COLUMN_NAMES),
+                )
+            )
+            object.__setattr__(self, "_records", records)
+        return records
 
     @property
     def watch_time(self) -> float:
         """Seconds of video actually played."""
-        return len(self.records) * self.segment_duration
+        return len(self) * self.segment_duration
 
     @property
     def completed(self) -> bool:
@@ -185,52 +251,49 @@ class PlaybackTrace:
     @property
     def total_stall_time(self) -> float:
         """Total stall time (seconds)."""
-        return float(np.sum(self.record_array()[:, _COL_STALL]))
+        return float(np.sum(self.columns["stall_time"]))
 
     @property
     def stall_count(self) -> int:
         """Number of stall events."""
-        return int(np.count_nonzero(self.record_array()[:, _COL_STALL] > 1e-12))
+        return int(np.count_nonzero(self.columns["stall_time"] > 1e-12))
 
     @property
     def mean_bitrate_kbps(self) -> float:
         """Mean selected bitrate (kbps), 0 for an empty trace."""
-        if not self.records:
+        if not len(self):
             return 0.0
-        return float(np.mean(self.record_array()[:, _COL_BITRATE]))
+        return float(np.mean(self.columns["bitrate_kbps"]))
 
     @property
     def bitrates_kbps(self) -> np.ndarray:
-        """Vector of selected bitrates."""
-        return self.record_array()[:, _COL_BITRATE].copy()
+        """Vector of selected bitrates (read-only)."""
+        return self.columns["bitrate_kbps"]
 
     @property
     def levels(self) -> np.ndarray:
-        """Vector of selected ladder levels."""
-        return self.record_array()[:, _COL_LEVEL].astype(int)
+        """Vector of selected ladder levels (read-only)."""
+        return self.columns["level"]
 
     @property
     def num_switches(self) -> int:
         """Number of quality switches."""
-        levels = self.record_array()[:, _COL_LEVEL]
-        if levels.size < 2:
-            return 0
-        return int(np.count_nonzero(np.diff(levels)))
+        return int(np.count_nonzero(np.diff(self.columns["level"])))
 
     @property
     def stall_times(self) -> np.ndarray:
-        """Per-segment stall time vector."""
-        return self.record_array()[:, _COL_STALL].copy()
+        """Per-segment stall time vector (read-only)."""
+        return self.columns["stall_time"]
 
     @property
     def cumulative_stall_times(self) -> np.ndarray:
-        """Per-segment cumulative stall time vector."""
-        return self.record_array()[:, _COL_CUM_STALL].copy()
+        """Per-segment cumulative stall time vector (read-only)."""
+        return self.columns["cumulative_stall_time"]
 
     @property
     def exited_flags(self) -> np.ndarray:
         """Per-segment exit indicator vector (0/1 floats)."""
-        return self.record_array()[:, _COL_EXITED].copy()
+        return self.columns["exited"].astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -277,12 +340,10 @@ class PlaybackSession:
             initial_buffer=self.config.initial_buffer,
             base_buffer_cap=self.config.base_buffer_cap,
         )
-        playback = PlaybackTrace(
-            user_id=user_id,
-            video_duration=video.duration,
-            segment_duration=video.segment_duration,
-            trace_name=trace.name,
-        )
+        # Records accumulate in a local list (the ``observe`` hook reads them
+        # one at a time) and become the trace's columns once, at the end.
+        records: list[SegmentRecord] = []
+        exited_early = False
 
         max_segments = video.num_segments
         if self.config.max_segments is not None:
@@ -353,7 +414,7 @@ class PlaybackSession:
                     raise ValueError("exit probability must be in [0, 1]")
                 exited = bool(rng.random() < exit_probability)
 
-            playback.records.append(
+            records.append(
                 SegmentRecord(
                     segment_index=k,
                     level=level,
@@ -376,13 +437,20 @@ class PlaybackSession:
             if observe is not None:
                 # Feedback hook used by LingXi-style wrappers that track
                 # per-segment outcomes (stalls, exits) during live playback.
-                observe(playback.records[-1])
+                observe(records[-1])
             last_level = level
             if exited:
-                playback.exited_early = True
+                exited_early = True
                 break
 
-        return playback
+        return PlaybackTrace.from_records(
+            records,
+            user_id=user_id,
+            video_duration=video.duration,
+            segment_duration=video.segment_duration,
+            trace_name=trace.name,
+            exited_early=exited_early,
+        )
 
     def run_many(
         self,

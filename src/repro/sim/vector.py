@@ -13,7 +13,7 @@ Equivalence gate
 ----------------
 For the same :class:`~repro.sim.backend.SessionSpec` batch, this backend
 reproduces :class:`~repro.sim.backend.ScalarBackend` traces **segment for
-segment** (exact `SegmentRecord` equality, enforced by
+segment** (exact equality of every trace column, enforced by
 ``tests/test_vector_backend.py``).  Three design rules make that possible:
 
 * every session draws exit uniforms from its own `Philox` substream
@@ -41,12 +41,17 @@ the backend counts them (``last_fallback_sessions`` /
 ``total_fallback_sessions``) so fleets can assert they stayed on the fast
 path.  In networked mode the same split is cohort-level: lockstep cohorts
 and event-ordered reference sessions share one ``allocate_step`` per slot.
+
+Traces leave the engine as columns: every lockstep group records its
+per-step values in padded ``(sessions, max_steps)`` matrices, and each
+session's :class:`~repro.sim.session.PlaybackTrace` receives its own
+trimmed copy of every row (:func:`_group_traces`) — no per-segment objects
+are built.  The worker pool and the telemetry codec pass those columns on
+as they are.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -66,7 +71,7 @@ from repro.sim.backend import (
 from repro.sim.bandwidth import BandwidthModel
 from repro.sim.networked import _LiveSession, resolve_link_indices, run_networked_scalar
 from repro.sim.player import dynamic_buffer_cap
-from repro.sim.session import PlaybackTrace, SegmentRecord, SessionConfig
+from repro.sim.session import PlaybackTrace, SessionConfig
 
 #: Sliding-window length of the player's bandwidth model (and of the
 #: throughput history handed to ABR contexts) — both are 8 in the scalar
@@ -614,27 +619,24 @@ class VectorBackend(SimBackend):
 
         if host is not None:
             host.finalize()
-        return [
-            self._assemble_trace(
-                spec,
-                int(steps_taken[i]),
-                bool(exited_early[i]),
-                segment_duration,
-                bitrates,
-                levels_row=level_rec[i],
-                size_row=size_rec[i],
-                bandwidth_row=bandwidth[i],
-                download_row=download_rec[i],
-                stall_row=stall_rec[i],
-                wait_row=wait_rec[i],
-                buffer_before_row=buffer_before_rec[i],
-                buffer_after_row=buffer_after_rec[i],
-                cumulative_row=cumulative_rec[i],
-                stall_count_row=stall_count_rec[i],
-                probability_row=probability_rec[i],
-            )
-            for i, spec in enumerate(specs)
-        ]
+        return _group_traces(
+            specs,
+            steps_taken,
+            exited_early,
+            segment_duration,
+            bitrates,
+            level=level_rec,
+            size_kbit=size_rec,
+            bandwidth_kbps=bandwidth,
+            download_time=download_rec,
+            stall_time=stall_rec,
+            wait_time=wait_rec,
+            buffer_before=buffer_before_rec,
+            buffer_after=buffer_after_rec,
+            cumulative_stall_time=cumulative_rec,
+            stall_count=stall_count_rec,
+            exit_probability=probability_rec,
+        )
 
     def _run_networked(
         self, specs, config: SessionConfig, network, link_usage, scalar_indices=()
@@ -791,30 +793,31 @@ class VectorBackend(SimBackend):
 
         results: list[PlaybackTrace | None] = [None] * num_sessions
         for index in scalar_order:
-            results[index] = live[index].playback
+            results[index] = live[index].playback()
         for group in groups:
             if group.host is not None:
                 group.host.finalize()
         for group in groups:
-            for i, spec in enumerate(group.specs):
-                results[int(group.indices[i])] = self._assemble_trace(
-                    spec,
-                    int(group.steps_taken[i]),
-                    bool(group.exited_early[i]),
-                    group.segment_duration,
-                    group.bitrates,
-                    levels_row=group.level_rec[i],
-                    size_row=group.size_rec[i],
-                    bandwidth_row=group.observed[i],
-                    download_row=group.download_rec[i],
-                    stall_row=group.stall_rec[i],
-                    wait_row=group.wait_rec[i],
-                    buffer_before_row=group.buffer_before_rec[i],
-                    buffer_after_row=group.buffer_after_rec[i],
-                    cumulative_row=group.cumulative_rec[i],
-                    stall_count_row=group.stall_count_rec[i],
-                    probability_row=group.probability_rec[i],
-                )
+            traces = _group_traces(
+                group.specs,
+                group.steps_taken,
+                group.exited_early,
+                group.segment_duration,
+                group.bitrates,
+                level=group.level_rec,
+                size_kbit=group.size_rec,
+                bandwidth_kbps=group.observed,
+                download_time=group.download_rec,
+                stall_time=group.stall_rec,
+                wait_time=group.wait_rec,
+                buffer_before=group.buffer_before_rec,
+                buffer_after=group.buffer_after_rec,
+                cumulative_stall_time=group.cumulative_rec,
+                stall_count=group.stall_count_rec,
+                exit_probability=group.probability_rec,
+            )
+            for index, trace in zip(group.indices, traces):
+                results[int(index)] = trace
         return results
 
     def _build_net_groups(
@@ -1035,214 +1038,54 @@ class VectorBackend(SimBackend):
         group.buffer = np.where(active, buffer_after, group.buffer)
         group.last_level = np.where(active, levels, group.last_level)
 
-    @staticmethod
-    def _assemble_trace(
-        spec: SessionSpec,
-        num_segments: int,
-        exited_early: bool,
-        segment_duration: float,
-        bitrates: np.ndarray,
-        *,
-        levels_row,
-        size_row,
-        bandwidth_row,
-        download_row,
-        stall_row,
-        wait_row,
-        buffer_before_row,
-        buffer_after_row,
-        cumulative_row,
-        stall_count_row,
-        probability_row,
-    ) -> PlaybackTrace:
-        """Materialise one session's column slices into a PlaybackTrace."""
-        n = num_segments
-        levels = levels_row[:n]
-        exited_flags = [False] * n
-        if n and exited_early:
-            exited_flags[-1] = True
-        watch_times = ((np.arange(n) + 1) * segment_duration).tolist()
-        records = [
-            SegmentRecord(*row)
-            for row in zip(
-                range(n),
-                levels.tolist(),
-                bitrates[levels].tolist(),
-                size_row[:n].tolist(),
-                bandwidth_row[:n].tolist(),
-                download_row[:n].tolist(),
-                stall_row[:n].tolist(),
-                wait_row[:n].tolist(),
-                buffer_before_row[:n].tolist(),
-                buffer_after_row[:n].tolist(),
-                watch_times,
-                cumulative_row[:n].tolist(),
-                stall_count_row[:n].tolist(),
-                probability_row[:n].tolist(),
-                exited_flags,
-            )
-        ]
-        return PlaybackTrace(
-            user_id=spec.user_id,
-            video_duration=spec.video.duration,
-            segment_duration=spec.video.segment_duration,
-            trace_name=spec.trace.name,
-            records=records,
-            exited_early=exited_early,
-        )
 
-
-register_backend("vector", VectorBackend)
-
-
-# --------------------------------------------------------------------------- #
-# Columnar trace export/import into caller-provided buffers
-# --------------------------------------------------------------------------- #
-# The struct-of-arrays layout of the lockstep engine does not have to die at
-# the process boundary: a batch of PlaybackTraces flattens into a fixed set of
-# per-field columns (one array per SegmentRecord field, plus four per-trace
-# header arrays) that a shard worker writes straight into a caller-provided
-# buffer — in practice a ``multiprocessing.shared_memory`` arena owned by
-# ``repro.fleet.pool`` — and the parent reads back through zero-copy numpy
-# views.  Strings (user ids, trace names) are deliberately *not* part of the
-# columnar format; the caller carries them out of band and hands them back to
-# :func:`import_trace_columns`.
-#
-# Round-trip contract: ``import_trace_columns(export_trace_columns(traces))``
-# is *value-identical* to ``traces`` — every int/float/bool survives exactly
-# (int64/float64/bool columns, ``.tolist()`` back to Python scalars), which is
-# what lets the pooled fleet path stay bit-identical to the inline one.
-
-_TRACE_FIELD_DTYPES = {"int": np.int64, "float": np.float64, "bool": np.bool_}
-
-
-def _trace_field_dtype(field_type) -> np.dtype:
-    name = field_type if isinstance(field_type, str) else field_type.__name__
-    return np.dtype(_TRACE_FIELD_DTYPES[name])
-
-
-#: ``(field_name, dtype)`` per :class:`SegmentRecord` field, in declaration
-#: order (which is also the record's positional-constructor order).
-TRACE_RECORD_COLUMNS: tuple[tuple[str, np.dtype], ...] = tuple(
-    (f.name, _trace_field_dtype(f.type)) for f in dataclasses.fields(SegmentRecord)
-)
-
-#: Per-trace header columns: record count, video geometry, early-exit flag.
-TRACE_HEADER_COLUMNS: tuple[tuple[str, np.dtype], ...] = (
-    ("num_records", np.dtype(np.int64)),
-    ("video_duration", np.dtype(np.float64)),
-    ("segment_duration", np.dtype(np.float64)),
-    ("exited_early", np.dtype(np.bool_)),
-)
-
-TRACE_COLUMNS_VERSION = 1
-
-
-def _align8(offset: int) -> int:
-    return (offset + 7) & ~7
-
-
-def _trace_regions(
-    num_traces: int, num_records: int
-) -> list[tuple[str, np.dtype, int]]:
-    """Ordered ``(name, dtype, count)`` region walk of the columnar format."""
-    regions = [
-        (f"header.{name}", dtype, num_traces)
-        for name, dtype in TRACE_HEADER_COLUMNS
-    ]
-    regions += [
-        (f"records.{name}", dtype, num_records)
-        for name, dtype in TRACE_RECORD_COLUMNS
-    ]
-    return regions
-
-
-def trace_columns_nbytes(num_traces: int, num_records: int, offset: int = 0) -> int:
-    """Bytes :func:`export_trace_columns` needs from ``offset`` (incl. padding)."""
-    end = offset
-    for _, dtype, count in _trace_regions(num_traces, num_records):
-        end = _align8(end) + dtype.itemsize * count
-    return end - offset
-
-
-def export_trace_columns(
-    traces: Sequence[PlaybackTrace], buffer, offset: int = 0
-) -> tuple[dict, int]:
-    """Write ``traces`` as columns into ``buffer`` starting at ``offset``.
-
-    ``buffer`` is anything :func:`numpy.frombuffer` accepts (a
-    ``SharedMemory.buf`` memoryview, a ``bytearray``, …).  Returns
-    ``(layout, end_offset)``; the layout dict is JSON-safe and is all a reader
-    needs besides the buffer itself and the out-of-band string columns.
-    """
-    num_traces = len(traces)
-    num_records = sum(len(trace.records) for trace in traces)
-    values: dict[str, list] = {
-        "header.num_records": [len(trace.records) for trace in traces],
-        "header.video_duration": [trace.video_duration for trace in traces],
-        "header.segment_duration": [trace.segment_duration for trace in traces],
-        "header.exited_early": [trace.exited_early for trace in traces],
-    }
-    for name, _ in TRACE_RECORD_COLUMNS:
-        values[f"records.{name}"] = [
-            getattr(record, name) for trace in traces for record in trace.records
-        ]
-    layout = {
-        "version": TRACE_COLUMNS_VERSION,
-        "traces": num_traces,
-        "records": num_records,
-        "regions": {},
-    }
-    position = offset
-    for name, dtype, count in _trace_regions(num_traces, num_records):
-        position = _align8(position)
-        view = np.frombuffer(buffer, dtype=dtype, count=count, offset=position)
-        view[:] = np.asarray(values[name], dtype=dtype)
-        layout["regions"][name] = position
-        position += view.nbytes
-    return layout, position
-
-
-def import_trace_columns(
-    buffer, layout: dict, *, user_ids: Sequence[str], trace_names: Sequence[str]
+def _group_traces(
+    specs: Sequence[SessionSpec],
+    steps_taken: np.ndarray,
+    exited_early: np.ndarray,
+    segment_duration: float,
+    bitrates: np.ndarray,
+    **recorded: np.ndarray,
 ) -> list[PlaybackTrace]:
-    """Inverse of :func:`export_trace_columns` (strings supplied out of band).
+    """One trace per session of a lockstep group, straight from its columns.
 
-    Reads through transient numpy views over ``buffer`` and materialises
-    plain-Python :class:`PlaybackTrace` objects, so nothing returned keeps a
-    reference into the buffer — the caller may recycle it immediately.
+    ``recorded`` holds the engine's padded ``(sessions, max_steps)`` per-step
+    matrices, keyed by :class:`SegmentRecord` field; the remaining fields
+    (segment index, bitrate, watch time, exit flag) are derived here.  Each
+    trace receives its own trimmed copy of every row, so no trace keeps a
+    padded group matrix alive.
     """
-    if layout.get("version") != TRACE_COLUMNS_VERSION:
-        raise ValueError(f"unsupported trace-columns layout: {layout.get('version')!r}")
-    num_traces = int(layout["traces"])
-    num_records = int(layout["records"])
-    if len(user_ids) != num_traces or len(trace_names) != num_traces:
-        raise ValueError("user_ids/trace_names must have one entry per trace")
-    columns: dict[str, list] = {}
-    for name, dtype, count in _trace_regions(num_traces, num_records):
-        view = np.frombuffer(
-            buffer, dtype=dtype, count=count, offset=int(layout["regions"][name])
-        )
-        columns[name] = view.tolist()
-    record_rows = zip(
-        *(columns[f"records.{name}"] for name, _ in TRACE_RECORD_COLUMNS)
-    )
-    traces: list[PlaybackTrace] = []
-    for index in range(num_traces):
-        records = [
-            SegmentRecord(*row)
-            for row in itertools.islice(
-                record_rows, columns["header.num_records"][index]
-            )
-        ]
+    num_sessions, max_steps = recorded["level"].shape
+    steps = np.arange(max_steps)
+    exited = np.zeros((num_sessions, max_steps), dtype=bool)
+    last = np.flatnonzero(exited_early & (steps_taken > 0))
+    exited[last, steps_taken[last] - 1] = True
+    matrices = {
+        **recorded,
+        "bitrate_kbps": bitrates[recorded["level"]],
+        "exited": exited,
+    }
+    shared = {
+        "segment_index": steps,
+        "watch_time": (steps + 1) * segment_duration,
+    }
+    traces = []
+    for i, spec in enumerate(specs):
+        n = int(steps_taken[i])
+        columns = {name: row[:n].copy() for name, row in shared.items()}
+        for name, matrix in matrices.items():
+            columns[name] = matrix[i, :n].copy()
         traces.append(
             PlaybackTrace(
-                user_id=user_ids[index],
-                video_duration=columns["header.video_duration"][index],
-                segment_duration=columns["header.segment_duration"][index],
-                trace_name=trace_names[index],
-                records=records,
-                exited_early=columns["header.exited_early"][index],
+                user_id=spec.user_id,
+                video_duration=spec.video.duration,
+                segment_duration=spec.video.segment_duration,
+                trace_name=spec.trace.name,
+                columns=columns,
+                exited_early=bool(exited_early[i]),
             )
         )
     return traces
+
+
+register_backend("vector", VectorBackend)

@@ -30,6 +30,7 @@ from repro.fleet import (
     replay_log_collection,
     save_fleet_checkpoint,
 )
+from repro.fleet.telemetry import session_from_payload, session_payload
 from repro.sim.bandwidth import BandwidthModel
 from repro.sim.video import BitrateLadder, VideoLibrary
 from repro.users.population import UserPopulation
@@ -134,6 +135,27 @@ class TestTelemetry:
         assert {e.shard for e in sessions} == {0, 1, 2, 3}
         # run_end carries the deterministic fleet metrics
         assert events[-1].payload["num_sessions"] == result.metrics.num_sessions
+
+
+    def test_old_records_schema_is_rejected_by_name(
+        self, fleet_population, fleet_library, tmp_path
+    ):
+        result = run_small_fleet(fleet_population, fleet_library, tmp_path)
+        event = next(
+            e for e in read_events(result.telemetry_path) if e.event == "session"
+        )
+        payload = session_payload(result.logs[0])
+        assert set(payload["columns"]) == set(event.payload["columns"])
+        old = {key: value for key, value in event.payload.items() if key != "columns"}
+        old["records"] = [
+            dict(zip(payload["columns"], row))
+            for row in zip(*payload["columns"].values())
+        ]
+        with pytest.raises(ValueError, match="'records' schema"):
+            session_from_payload(event.user_id, old)
+        del old["records"]
+        with pytest.raises(ValueError, match="no 'columns'"):
+            session_from_payload(event.user_id, old)
 
 
 class TestBatchedPredictor:
@@ -498,29 +520,16 @@ class TestPlaybackTraceCache:
             np.count_nonzero(np.diff([r.level for r in trace.records]))
         )
 
-    def test_cache_invalidated_by_append(self, fleet_population, fleet_library):
-        from repro.sim.session import SegmentRecord
-
+    def test_built_trace_is_immutable(self, fleet_population, fleet_library):
         result = run_small_fleet(fleet_population, fleet_library, num_shards=1)
         trace = result.logs[0].trace
         before = trace.total_stall_time
-        trace.records.append(
-            SegmentRecord(
-                segment_index=len(trace),
-                level=0,
-                bitrate_kbps=350.0,
-                size_kbit=700.0,
-                bandwidth_kbps=500.0,
-                download_time=1.4,
-                stall_time=2.5,
-                wait_time=0.0,
-                buffer_before=1.0,
-                buffer_after=1.6,
-                watch_time=trace.watch_time + 2.0,
-                cumulative_stall_time=before + 2.5,
-                stall_count=trace.stall_count + 1,
-                exit_probability=0.0,
-                exited=False,
-            )
-        )
-        assert trace.total_stall_time == pytest.approx(before + 2.5)
+        with pytest.raises(AttributeError):
+            trace.records.append(trace.records[0])
+        with pytest.raises(ValueError, match="read-only"):
+            trace.columns["stall_time"][0] = 99.0
+        with pytest.raises(TypeError):
+            trace.columns["stall_time"] = np.zeros(len(trace))
+        with pytest.raises(AttributeError):
+            trace.exited_early = not trace.exited_early
+        assert trace.total_stall_time == before

@@ -235,6 +235,25 @@ class TestFleetProfile:
         assert counters["allocator.slots"] > 0
         assert report["peak_rss_bytes"] is None or report["peak_rss_bytes"] > 0
 
+    def test_pooled_report_shows_telemetry_encode_and_pool_decode(
+        self, population, library, tmp_path
+    ):
+        result = _run_fleet(
+            population, library, shards=2, workers=2, profile=True,
+            telemetry=tmp_path / "telemetry.jsonl",
+        )
+        spans = result.obs_report["spans"]
+        paths = {
+            "telemetry.encode": "fleet.run_day/fleet.run_shards/telemetry.encode",
+            "pool.decode": "fleet.run_day/fleet.run_shards/shard.map/pool.drain/pool.decode",
+        }
+        for name, path in paths.items():
+            node = obs.find_span(spans, path)
+            assert node is not None, name
+            assert node["count"] == 2  # one per shard
+            self_s = node["total_s"] - sum(c["total_s"] for c in node["children"])
+            assert self_s >= 0.0, name
+
     def test_run_report_and_fallback_fields_replay_from_telemetry(
         self, population, library, tmp_path
     ):

@@ -39,13 +39,15 @@ from repro.fleet import (
     shared_pool,
     shutdown_shared_pools,
 )
-from repro.fleet.pool import _SHARED_POOLS
-from repro.sim.session import PlaybackTrace, SegmentRecord
-from repro.sim.vector import (
-    export_trace_columns,
-    import_trace_columns,
-    trace_columns_nbytes,
+from repro.analytics.logs import SessionLog
+from repro.fleet.orchestrator import ShardOutput
+from repro.fleet.pool import (
+    _SHARED_POOLS,
+    _decode_shard_output,
+    _encode_result_arrays,
+    _layout_result,
 )
+from repro.sim.session import PlaybackTrace, SegmentRecord
 from repro.sim.video import VideoLibrary
 from repro.users.population import UserPopulation
 
@@ -131,23 +133,56 @@ class TestTraceColumns:
             )
             for i in range(n)
         ]
-        return PlaybackTrace(
-            user_id=uid, video_duration=n * 4.0, segment_duration=4.0,
-            trace_name=name, records=records, exited_early=exited,
+        return PlaybackTrace.from_records(
+            records, user_id=uid, video_duration=n * 4.0, segment_duration=4.0,
+            trace_name=name, exited_early=exited,
         )
+
+    @staticmethod
+    def _pack(traces):
+        """Pack ``traces`` as one shard result, the way a pool worker does."""
+        output = ShardOutput(
+            shard_index=3,
+            sessions=[
+                SessionLog(
+                    user_id=trace.user_id, day=1, session_index=i, trace=trace,
+                    mean_bandwidth_kbps=1000.0 + i,
+                )
+                for i, trace in enumerate(traces)
+            ],
+            controller_states={},
+            num_segments=sum(len(trace) for trace in traces),
+            wall_time_s=0.0,
+        )
+        arrays, strings, controller = _encode_result_arrays(output)
+        _, nbytes = _layout_result(
+            None, arrays=arrays, strings=strings, controller=controller,
+            telemetry=None,
+        )
+        buffer = bytearray(nbytes)
+        layout, end = _layout_result(
+            buffer, arrays=arrays, strings=strings, controller=controller,
+            telemetry=None,
+        )
+        assert end == nbytes
+        return buffer, layout
+
+    @staticmethod
+    def _decode(buffer, layout):
+        extra = {"num_segments": 0, "wall_time_s": 0.0, "fallback_sessions": 0,
+                 "obs": None}
+        return _decode_shard_output(buffer, layout, 3, extra)
 
     def test_roundtrip_is_value_identical_with_python_types(self):
         traces = [self._trace(6, "a", "t1", exited=True), self._trace(0, "b", "t2"),
                   self._trace(3, "c", "t1")]
-        size = trace_columns_nbytes(len(traces), sum(len(t.records) for t in traces))
-        buffer = bytearray(size + 32)
-        layout, end = export_trace_columns(traces, buffer, offset=16)
-        assert end <= len(buffer)
+        buffer, layout = self._pack(traces)
         assert json.loads(json.dumps(layout)) == layout  # JSON-safe layout
-        back = import_trace_columns(
-            buffer, layout, user_ids=["a", "b", "c"], trace_names=["t1", "t2", "t1"]
-        )
+        back = [log.trace for log in self._decode(buffer, layout).sessions]
         assert back == traces
+        assert [t.records for t in back] == [t.records for t in traces]
+        assert back[0].records[-1].exited and back[0].exited_early
+        assert len(back[1]) == 0 and back[1].records == ()
         for trace in back:
             for record in trace.records:
                 assert type(record.segment_index) is int
@@ -155,16 +190,17 @@ class TestTraceColumns:
                 assert type(record.stall_count) is int
                 assert type(record.exited) is bool
                 assert type(record.bitrate_kbps) is float
+            assert type(trace.video_duration) is float
+            assert type(trace.exited_early) is bool
+        # Decoded traces own their data: recycling the arena cannot touch them.
+        buffer[:] = bytes(len(buffer))
+        assert back == traces
+        assert not back[0].columns["stall_time"].flags.writeable
 
-    def test_import_validates_string_columns_and_version(self):
-        traces = [self._trace(2)]
-        buffer = bytearray(trace_columns_nbytes(1, 2))
-        layout, _ = export_trace_columns(traces, buffer)
-        with pytest.raises(ValueError):
-            import_trace_columns(buffer, layout, user_ids=[], trace_names=[])
-        bad = dict(layout, version=99)
-        with pytest.raises(ValueError):
-            import_trace_columns(buffer, bad, user_ids=["u1"], trace_names=["t"])
+    def test_decode_rejects_unknown_layout_version(self):
+        buffer, layout = self._pack([self._trace(2)])
+        with pytest.raises(PoolError, match="unsupported result layout"):
+            self._decode(buffer, dict(layout, version=99))
 
 
 class TestPooledBitIdentity:

@@ -192,6 +192,7 @@ def _sample_batch(case_seed: int):
 def _assert_traces_equal(scalar_traces, vector_traces, case_seed):
     assert len(scalar_traces) == len(vector_traces)
     for index, (scalar, vector) in enumerate(zip(scalar_traces, vector_traces)):
+        assert scalar == vector, (case_seed, index)  # every column, bit for bit
         assert scalar.exited_early == vector.exited_early, (case_seed, index)
         assert len(scalar.records) == len(vector.records), (case_seed, index)
         for a, b in zip(scalar.records, vector.records):

@@ -1,14 +1,24 @@
 """Tests for the playback session engine and trace records."""
 
+import json
+import math
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.abr.bba import BBA
 from repro.abr.hyb import HYB
+from repro.analytics.logs import SessionLog
+from repro.fleet.telemetry import session_from_payload, session_payload
 from repro.sim.session import (
+    TRACE_RECORD_COLUMNS,
     ABRContext,
     ExitObservation,
     PlaybackSession,
+    PlaybackTrace,
+    SegmentRecord,
     SessionConfig,
 )
 from repro.users.engagement import RuleBasedUser
@@ -119,9 +129,94 @@ class TestPlaybackSession:
         assert len(traces) == len(library)
 
     def test_empty_trace_properties(self):
-        from repro.sim.session import PlaybackTrace
-
         empty = PlaybackTrace(video_duration=10.0, segment_duration=2.0)
         assert empty.mean_bitrate_kbps == 0.0
         assert empty.completion_ratio == 0.0
         assert empty.num_switches == 0
+
+
+# --------------------------------------------------------------------------- #
+# Columnar representation: records <-> columns <-> telemetry, exactly
+# --------------------------------------------------------------------------- #
+_INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+#: Finite floats with the edge cases spelled out: signed zeros, the smallest
+#: subnormal, the largest finite value.
+_FLOAT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308]),
+)
+_FIELD_STRATEGIES = {"int64": _INT64, "float64": _FLOAT, "bool": st.booleans()}
+_RECORDS = st.lists(
+    st.builds(
+        SegmentRecord,
+        **{name: _FIELD_STRATEGIES[dtype.name] for name, dtype in TRACE_RECORD_COLUMNS},
+    ),
+    max_size=12,
+)
+_PYTHON_TYPES = {"int64": int, "float64": float, "bool": bool}
+
+
+def _bits(value):
+    """Exact identity of a scalar: floats by their IEEE bits (signs of zero too)."""
+    return value.hex() if isinstance(value, float) else value
+
+
+def _assert_records_exact(actual, expected):
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        for name, dtype in TRACE_RECORD_COLUMNS:
+            value = getattr(got, name)
+            assert type(value) is _PYTHON_TYPES[dtype.name], (name, type(value))
+            assert _bits(value) == _bits(getattr(want, name)), name
+
+
+class TestColumnarTrace:
+    @settings(max_examples=60, deadline=None)
+    @given(records=_RECORDS, exited=st.booleans())
+    def test_records_columns_telemetry_roundtrip_is_exact(self, records, exited):
+        trace = PlaybackTrace.from_records(
+            records, user_id="u7", video_duration=30.0, segment_duration=2.0,
+            trace_name="t", exited_early=exited,
+        )
+        assert len(trace) == len(records)
+        for name, dtype in TRACE_RECORD_COLUMNS:
+            assert trace.columns[name].dtype == dtype
+        _assert_records_exact(trace.records, records)
+        assert pickle.loads(pickle.dumps(trace)) == trace
+
+        log = SessionLog(user_id="u7", day=2, session_index=1, trace=trace,
+                         mean_bandwidth_kbps=1234.5)
+        line = json.dumps(session_payload(log))
+        back = session_from_payload("u7", json.loads(line)).trace
+        assert back == trace
+        for name, _ in TRACE_RECORD_COLUMNS:
+            assert back.columns[name].tobytes() == trace.columns[name].tobytes()
+        _assert_records_exact(back.records, records)
+        # Re-encoding the replayed trace gives the same bytes.
+        assert json.dumps(session_payload(
+            SessionLog(user_id="u7", day=2, session_index=1, trace=back,
+                       mean_bandwidth_kbps=1234.5)
+        )) == line
+
+    def test_equality_is_bitwise(self):
+        record = SegmentRecord(0, 1, 300.0, 600.0, 900.0, 0.5, 0.0, 0.0,
+                               1.0, 2.0, 2.0, 0.0, 0, 0.0, False)
+        negative = SegmentRecord(*(
+            -0.0 if isinstance(v, float) and v == 0.0 else v
+            for v in record.__dict__.values()
+        ))
+        a = PlaybackTrace.from_records([record])
+        assert a == PlaybackTrace.from_records([record])
+        assert a.records == PlaybackTrace.from_records([negative]).records
+        assert a != PlaybackTrace.from_records([negative])
+        assert math.copysign(1.0, PlaybackTrace.from_records([negative]).records[0].stall_time) < 0
+
+    def test_rejects_ragged_or_incomplete_columns(self):
+        columns = {name: np.zeros(3, dtype=dtype) for name, dtype in TRACE_RECORD_COLUMNS}
+        with pytest.raises(ValueError, match="equal length"):
+            PlaybackTrace(columns={**columns, "level": np.zeros(2, dtype=np.int64)})
+        del columns["exited"]
+        with pytest.raises(ValueError, match="SegmentRecord fields"):
+            PlaybackTrace(columns=columns)
+
