@@ -6,7 +6,9 @@ This suite pins the engines to committed segment-for-segment traces under
 ``tests/data/golden/`` — one JSON document per (ABR × networked) case, each
 generated from fixed seeds and replayed **bit-exact** on both backends.  Any
 change to a single float anywhere in a trace (one ulp is enough) fails the
-corresponding case loudly.
+corresponding case loudly.  The ``lingxi_hyb`` case also pins the LingXi
+control plane: every controller's activation history and its online
+Bayesian-optimization trials are part of the document.
 
 Intentional changes regenerate the corpus::
 
@@ -29,6 +31,8 @@ from repro.abr.bola import BOLA
 from repro.abr.hyb import HYB
 from repro.abr.robust_mpc import RobustMPC
 from repro.abr.throughput import ThroughputRule
+from repro.core.exit_predictor import ExitRatePredictor
+from repro.fleet import LingXiFleetFactory
 from repro.net import CacheModel, EdgeLink, NetworkTopology
 from repro.sim import SessionSpec, get_backend, spawn_session_seeds
 from repro.sim.bandwidth import (
@@ -50,8 +54,14 @@ _ABR_FACTORIES = {
     "robust_mpc": RobustMPC,
 }
 
+#: ABRs built once per session (stateful controllers must not be shared).
+_SESSION_ABR_FACTORIES = {
+    "lingxi_hyb": LingXiFleetFactory(ExitRatePredictor(channels=8, hidden=16, seed=0)),
+}
+
 _TRACE_GENERATORS = {
     "throughput": StationaryTraceGenerator(1800.0, 500.0),
+    "lingxi_hyb": LowBandwidthTraceGenerator(),
     "hyb": MarkovTraceGenerator(),
     "bba": StationaryTraceGenerator(2600.0, 700.0),
     "bola": LowBandwidthTraceGenerator(),
@@ -104,11 +114,15 @@ def _batch(abr_name: str, seed: int, networked: bool | str) -> list[SessionSpec]
     library = VideoLibrary(num_videos=4, mean_duration=32.0, std_duration=10.0, seed=3)
     generator = _TRACE_GENERATORS[abr_name]
     seeds = spawn_session_seeds(seed, len(population))
-    abr = _ABR_FACTORIES[abr_name]()
+    if abr_name in _SESSION_ABR_FACTORIES:
+        factory = _SESSION_ABR_FACTORIES[abr_name]
+        abrs = [factory(profile, seed + i) for i, profile in enumerate(population)]
+    else:
+        abrs = [_ABR_FACTORIES[abr_name]()] * len(population)
     topology = _case_topology(networked)
     return [
         SessionSpec(
-            abr=abr,
+            abr=abrs[i],
             video=library[i % 4],
             trace=generator.generate(50, rng),
             exit_model=profile.exit_model(),
@@ -134,7 +148,31 @@ GOLDEN_CASES: dict[str, tuple[str, int, bool | str]] = {
     "bola_networked": ("bola", 107, True),
     "bba_tiered": ("bba", 108, "max_min_fair"),
     "throughput_tiered_ll": ("throughput", 109, "low_lapsley"),
+    # Seed chosen so that three controllers activate and one activates twice
+    # (the second round warm-starts from decayed trials).
+    "lingxi_hyb": ("lingxi_hyb", 129, False),
 }
+
+
+def _controller_payload(abr) -> dict:
+    """A LingXi controller's activations and OBO trials, JSON-ready."""
+    controller = abr.controller
+    return {
+        "history": [
+            {
+                "activation_index": event.activation_index,
+                "trigger_stall_count": event.trigger_stall_count,
+                "predicted_exit_rate": event.predicted_exit_rate,
+                "beta": event.chosen_parameters.beta,
+                "candidates_evaluated": event.candidates_evaluated,
+            }
+            for event in controller.history
+        ],
+        "obo_trials": [
+            {"x": list(trial.x), "value": trial.value}
+            for trial in controller.obo.history
+        ],
+    }
 
 
 def _run_case(case: str, backend_name: str) -> dict:
@@ -149,7 +187,7 @@ def _run_case(case: str, backend_name: str) -> dict:
         network=_case_topology(networked),
         link_usage=link_usage if networked else None,
     )
-    return {
+    document = {
         "case": case,
         "abr": abr_name,
         "seed": seed,
@@ -167,6 +205,9 @@ def _run_case(case: str, backend_name: str) -> dict:
         ],
         "link_usage": [sample.as_payload() for sample in link_usage],
     }
+    if abr_name in _SESSION_ABR_FACTORIES:
+        document["controllers"] = [_controller_payload(spec.abr) for spec in specs]
+    return document
 
 
 def _roundtrip(document: dict) -> dict:
@@ -189,6 +230,17 @@ def test_golden_trace_replays_bit_exact(case, backend_name, regen_golden):
     )
     assert document["link_usage"] == golden["link_usage"]
     assert document["networked"] == golden["networked"]
+    assert document.get("controllers") == golden.get("controllers"), (
+        f"LingXi controller state of golden case {case!r} drifted on backend "
+        f"{backend_name!r}"
+    )
+
+
+def test_lingxi_golden_case_exercises_the_controller():
+    """The pinned LingXi case is only a gate if at least one activation fired."""
+    golden = json.loads((GOLDEN_DIR / "lingxi_hyb.json").read_text())
+    assert any(controller["history"] for controller in golden["controllers"])
+    assert any(controller["obo_trials"] for controller in golden["controllers"])
 
 
 def test_corpus_is_complete():
