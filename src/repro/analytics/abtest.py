@@ -19,7 +19,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+
+# ``scipy.stats`` costs most of a second to import, and only the t-tests
+# below need it, so each one imports it on first use: ``import repro`` (and
+# every fleet run that never compares arms) stays free of it.
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,8 @@ def compare_arm_series(
         p_value = 0.0 if mean_delta != 0 else 1.0
         interval = (mean_delta, mean_delta)
     else:
+        from scipy import stats
+
         t_statistic = mean_delta / standard_error
         p_value = float(2.0 * stats.t.sf(abs(t_statistic), df=df))
         half_width = float(stats.t.ppf(0.5 + confidence / 2.0, df=df)) * standard_error
@@ -144,6 +149,8 @@ def welch_ttest(sample_a: Sequence[float], sample_b: Sequence[float]) -> tuple[f
     b = np.asarray(sample_b, dtype=float)
     if a.size < 2 or b.size < 2:
         raise ValueError("each sample needs at least two observations")
+    from scipy import stats
+
     result = stats.ttest_ind(a, b, equal_var=False)
     return float(result.statistic), float(result.pvalue)
 
@@ -184,6 +191,8 @@ def difference_in_differences(
         t_statistic = float("inf") if effect != 0 else 0.0
         p_value = 0.0 if effect != 0 else 1.0
     else:
+        from scipy import stats
+
         t_statistic = effect / standard_error
         p_value = float(2.0 * stats.t.sf(abs(t_statistic), df=deltas.size - 1))
     return ABTestResult(

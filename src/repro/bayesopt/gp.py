@@ -83,6 +83,6 @@ class GaussianProcess:
         cross = self.kernel(x, self._x)
         mean = cross @ self._alpha + self._y_mean
         v = np.linalg.solve(self._cholesky, cross.T)
-        prior_var = np.diag(self.kernel(x, x))
+        prior_var = self.kernel.diag(x)
         variance = np.maximum(prior_var - np.sum(v**2, axis=0), 1e-12)
         return mean, np.sqrt(variance)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
 from repro.bayesopt.optimizer import BayesianOptimizer, Trial
 
 
@@ -98,10 +99,12 @@ class OnlineBayesianOptimizer:
 
     def next_candidate(self) -> np.ndarray:
         """Next parameter vector to evaluate (``OBO.next_candidate``)."""
-        if self._active is None:
-            self.start_round()
-        assert self._active is not None
-        return self._active.suggest()
+        obs.counter_add("obo.suggestions")
+        with obs.span("obo.suggest"):
+            if self._active is None:
+                self.start_round()
+            assert self._active is not None
+            return self._active.suggest()
 
     def update(self, x: np.ndarray, value: float) -> None:
         """Record an evaluated candidate (``OBO.update``)."""

@@ -79,7 +79,7 @@ class BandwidthModel:
         if not self._samples:
             return self.prior_mean_kbps
         if self._cached_mean is None:
-            self._cached_mean = float(np.mean(self._samples))
+            self._window_statistics()
         return self._cached_mean
 
     @property
@@ -88,8 +88,25 @@ class BandwidthModel:
         if len(self._samples) < 2:
             return self.prior_std_kbps
         if self._cached_std is None:
-            self._cached_std = float(max(np.std(self._samples, ddof=1), 1e-6))
+            self._window_statistics()
         return self._cached_std
+
+    def _window_statistics(self) -> None:
+        """Memoise the window's mean and (``n >= 2``) sample std in one pass.
+
+        The ufunc sequence is the one ``np.mean`` and ``np.std(ddof=1)`` run
+        internally (pairwise ``add.reduce``, divide, deviations, ``sqrt``), so
+        the results are bit-identical to those wrappers at a fraction of
+        their per-call overhead.
+        """
+        samples = np.array(self._samples)
+        n = samples.shape[0]
+        mean = np.add.reduce(samples) / n
+        self._cached_mean = float(mean)
+        if n >= 2:
+            deviations = samples - mean
+            variance = np.add.reduce(deviations * deviations) / (n - 1)
+            self._cached_std = max(float(np.sqrt(variance)), 1e-6)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Sample future bandwidth ``C_k ~ N(mu, sigma^2)`` (kbps, clipped > 0)."""
@@ -110,6 +127,8 @@ class BandwidthModel:
             prior_std_kbps=self.prior_std_kbps,
         )
         clone._samples = list(self._samples)
+        clone._cached_mean = self._cached_mean
+        clone._cached_std = self._cached_std
         return clone
 
 

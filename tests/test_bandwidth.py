@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.bandwidth import (
     BandwidthModel,
@@ -61,6 +61,60 @@ class TestBandwidthModel:
         model = BandwidthModel(window=50)
         model.extend(values)
         assert min(values) - 1e-6 <= model.mean <= max(values) + 1e-6
+
+
+def _numpy_window_statistics(model: BandwidthModel, values: list[float]):
+    """``mean``/``std`` as ``np.mean`` and ``np.std(ddof=1)`` compute them."""
+    window = values[-model.window :]
+    mean = float(np.mean(window)) if window else model.prior_mean_kbps
+    if len(window) < 2:
+        return mean, model.prior_std_kbps
+    return mean, float(max(np.std(window, ddof=1), 1e-6))
+
+
+_THROUGHPUTS = st.floats(min_value=1.0, max_value=1e5)
+
+
+class TestWindowStatisticsExactness:
+    """The one-pass window statistics are bitwise the numpy wrappers'."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(_THROUGHPUTS, min_size=0, max_size=12),
+        constant=st.booleans(),
+        std_first=st.booleans(),
+    )
+    def test_mean_and_std_match_numpy(self, values, constant, std_first):
+        if constant:
+            values = values[:1] * len(values)
+        model = BandwidthModel(window=8, prior_mean_kbps=2500.0, prior_std_kbps=700.0)
+        model.extend(values)
+        if std_first:
+            std = model.std
+            mean = model.mean
+        else:
+            mean = model.mean
+            std = model.std
+        assert (mean, std) == _numpy_window_statistics(model, values)
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=st.lists(_THROUGHPUTS, min_size=0, max_size=8), extra=_THROUGHPUTS)
+    def test_copy_keeps_the_memo_and_stays_independent(self, values, extra):
+        model = BandwidthModel(window=8)
+        model.extend(values)
+        statistics = (model.mean, model.std)
+        clone = model.copy()
+        assert (clone._cached_mean, clone._cached_std) == (
+            model._cached_mean,
+            model._cached_std,
+        )
+        assert (clone.mean, clone.std) == statistics
+        clone.update(extra)
+        assert (model.mean, model.std) == statistics
+        assert model._samples == values
+        assert (clone.mean, clone.std) == _numpy_window_statistics(
+            clone, values + [extra]
+        )
 
 
 class TestTraces:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from repro.bayesopt import (
     BayesianOptimizer,
@@ -42,6 +43,22 @@ class TestKernels:
         with pytest.raises(ValueError):
             RBFKernel()(np.zeros((2, 2)), np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("kernel_cls", [RBFKernel, Matern52Kernel])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        points=st.lists(
+            st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=40
+        ),
+        length_scale=st.floats(min_value=1e-3, max_value=10.0),
+        signal_variance=st.floats(min_value=1e-3, max_value=10.0),
+    )
+    def test_diag_is_bitwise_the_matrix_diagonal_in_one_dimension(
+        self, kernel_cls, points, length_scale, signal_variance
+    ):
+        kernel = kernel_cls(length_scale=length_scale, signal_variance=signal_variance)
+        x = np.asarray(points)[:, None]
+        np.testing.assert_array_equal(kernel.diag(x), np.diag(kernel(x, x)))
+
 
 class TestGaussianProcess:
     def test_interpolates_observations(self):
@@ -66,6 +83,29 @@ class TestGaussianProcess:
     def test_fit_validation(self):
         with pytest.raises(ValueError):
             GaussianProcess().fit(np.zeros((2, 1)), np.zeros(3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        observed=st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=8
+        ),
+        queries=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=32),
+    )
+    def test_predict_matches_full_prior_covariance_in_one_dimension(
+        self, observed, queries
+    ):
+        """O(C) prior variance == reading the diagonal of the C x C matrix."""
+        x = np.asarray([point for point, _ in observed])[:, None]
+        y = np.asarray([value for _, value in observed])
+        gp = GaussianProcess(kernel=Matern52Kernel(length_scale=0.2)).fit(x, y)
+        query = np.asarray(queries)[:, None]
+        mean, std = gp.predict(query)
+        cross = gp.kernel(query, gp._x)
+        v = np.linalg.solve(gp._cholesky, cross.T)
+        prior_var = np.diag(gp.kernel(query, query))
+        expected = np.sqrt(np.maximum(prior_var - np.sum(v**2, axis=0), 1e-12))
+        np.testing.assert_array_equal(std, expected)
+        np.testing.assert_array_equal(mean, cross @ gp._alpha + gp._y_mean)
 
     def test_duplicate_points_handled(self):
         x = np.asarray([[0.5], [0.5], [0.5]])
@@ -93,6 +133,73 @@ class TestAcquisitions:
     def test_expected_improvement_non_negative(self, mean, std):
         value = expected_improvement(np.asarray([mean]), np.asarray([std]), best=0.0)
         assert value[0] >= -1e-9
+
+
+def _reference_expected_improvement(mean, std, best, xi=0.01):
+    """The ``scipy.stats.norm`` formulation the acquisition replaced."""
+    std = np.maximum(std, 1e-12)
+    improvement = best - mean - xi
+    z = improvement / std
+    return improvement * stats.norm.cdf(z) + std * stats.norm.pdf(z)
+
+
+def _reference_probability_of_improvement(mean, std, best, xi=0.01):
+    return stats.norm.cdf((best - mean - xi) / np.maximum(std, 1e-12))
+
+
+#: Standard deviations spanning the 1e-12 floor, below it and ordinary scales.
+_STDS = st.one_of(
+    st.sampled_from([0.0, 1e-13, 1e-12, 2e-12]),
+    st.floats(min_value=1e-6, max_value=5.0),
+)
+
+
+class TestAcquisitionExactness:
+    """EI and PI are bitwise the ``scipy.stats.norm`` formulas they replace."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        draws=st.lists(
+            st.tuples(st.floats(min_value=-40.0, max_value=40.0), _STDS),
+            min_size=1,
+            max_size=64,
+        ),
+        best=st.floats(min_value=-2.0, max_value=2.0),
+    )
+    def test_z_up_to_forty(self, draws, best):
+        z = np.asarray([value for value, _ in draws])
+        std = np.asarray([scale for _, scale in draws])
+        mean = best - 0.01 - z * np.maximum(std, 1e-12)
+        np.testing.assert_array_equal(
+            expected_improvement(mean, std, best),
+            _reference_expected_improvement(mean, std, best),
+        )
+        np.testing.assert_array_equal(
+            probability_of_improvement(mean, std, best),
+            _reference_probability_of_improvement(mean, std, best),
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        draws=st.lists(
+            st.tuples(st.floats(min_value=-2.0, max_value=2.0), _STDS),
+            min_size=1,
+            max_size=64,
+        ),
+        best=st.floats(min_value=-2.0, max_value=2.0),
+        xi=st.sampled_from([0.0, 0.01, 0.1]),
+    )
+    def test_arbitrary_means_and_floored_stds(self, draws, best, xi):
+        mean = np.asarray([value for value, _ in draws])
+        std = np.asarray([scale for _, scale in draws])
+        np.testing.assert_array_equal(
+            expected_improvement(mean, std, best, xi),
+            _reference_expected_improvement(mean, std, best, xi),
+        )
+        np.testing.assert_array_equal(
+            probability_of_improvement(mean, std, best, xi),
+            _reference_probability_of_improvement(mean, std, best, xi),
+        )
 
 
 class TestBayesianOptimizer:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -533,3 +538,24 @@ class TestPlaybackTraceCache:
         with pytest.raises(AttributeError):
             trace.exited_early = not trace.exited_early
         assert trace.total_stall_time == before
+
+
+class TestImportFootprint:
+    def test_import_repro_fleet_leaves_scipy_stats_unloaded(self):
+        """``scipy.stats`` costs most of a second to import; only the A/B
+        t-tests need it, so a fresh ``import repro.fleet`` must not load it."""
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        code = (
+            "import sys, repro.fleet; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert completed.stdout.strip() == "[]"

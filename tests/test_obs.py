@@ -16,9 +16,11 @@ import pytest
 from test_golden_traces import GOLDEN_CASES, _roundtrip, _run_case
 
 from repro import obs
+from repro.core.exit_predictor import ExitRatePredictor
 from repro.fleet import (
     FleetConfig,
     FleetOrchestrator,
+    LingXiFleetFactory,
     LongitudinalCampaign,
     LongitudinalConfig,
     replay_run_report,
@@ -253,6 +255,37 @@ class TestFleetProfile:
             assert node["count"] == 2  # one per shard
             self_s = node["total_s"] - sum(c["total_s"] for c in node["children"])
             assert self_s >= 0.0, name
+
+    def test_lingxi_report_shows_obo_suggest(self, library):
+        population = UserPopulation.generate(12, seed=5, bandwidth_median_kbps=900.0)
+        config = FleetConfig(
+            num_shards=2, num_workers=0, sessions_per_user=2, trace_length=60, seed=3
+        )
+        factory = LingXiFleetFactory(ExitRatePredictor(channels=8, hidden=16, seed=0))
+        plain = FleetOrchestrator(config).run(population, library, abr_factory=factory)
+        obs.enable()
+        try:
+            profiled = FleetOrchestrator(config).run(
+                population, library, abr_factory=factory
+            )
+        finally:
+            obs.disable()
+        assert _session_map(plain) == _session_map(profiled)
+        assert plain.controller_states == profiled.controller_states
+        report = profiled.obs_report
+        paths = [
+            path
+            for path in obs.span_names(report["spans"])
+            if path.rsplit("/", 1)[-1] == "obo.suggest"
+        ]
+        assert paths
+        calls = 0
+        for path in paths:
+            node = obs.find_span(report["spans"], path)
+            self_s = node["total_s"] - sum(c["total_s"] for c in node["children"])
+            assert self_s >= 0.0, path
+            calls += node["count"]
+        assert report["metrics"]["counters"]["obo.suggestions"] == calls > 0
 
     def test_run_report_and_fallback_fields_replay_from_telemetry(
         self, population, library, tmp_path
@@ -501,7 +534,7 @@ class TestTraceExport:
 
 
 class TestGoldenTraceNeutrality:
-    @pytest.mark.parametrize("case", ["hyb", "bola_networked"])
+    @pytest.mark.parametrize("case", ["hyb", "bola_networked", "lingxi_hyb"])
     @pytest.mark.parametrize("backend_name", ["scalar", "vector"])
     def test_golden_case_bit_exact_with_obs_enabled(self, case, backend_name):
         assert case in GOLDEN_CASES
