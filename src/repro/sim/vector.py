@@ -42,18 +42,26 @@ the backend counts them (``last_fallback_sessions`` /
 path.  In networked mode the same split is cohort-level: lockstep cohorts
 and event-ordered reference sessions share one ``allocate_step`` per slot.
 
-Traces leave the engine as columns: every lockstep group records its
-per-step values in padded ``(sessions, max_steps)`` matrices, and each
-session's :class:`~repro.sim.session.PlaybackTrace` receives its own
-trimmed copy of every row (:func:`_group_traces`) — no per-segment objects
-are built.  The worker pool and the telemetry codec pass those columns on
-as they are.
+One lockstep unit
+-----------------
+Both modes run on the same :class:`_Cohort`: one builder
+(:meth:`VectorBackend._build_cohort`), one step that evaluates Equation 3
+(:meth:`VectorBackend._step_cohort`) and one hand-off
+(:func:`_cohort_traces`).  They differ only in the driver.  An uncoupled
+batch runs its cohorts one after another, each to completion, and feeds
+every step its trace values; a networked batch advances all cohorts slot by
+slot and feeds each step the shared allocator's throughputs.
+
+Traces leave the engine as columns: every cohort records its per-step
+values in padded ``(sessions, max_steps)`` matrices, and each session's
+:class:`~repro.sim.session.PlaybackTrace` receives its own trimmed copy of
+every row (:func:`_cohort_traces`) — no per-segment objects are built.  The
+worker pool and the telemetry codec pass those columns on as they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -153,24 +161,24 @@ class ExitStepView:
 
 
 @dataclass
-class _NetGroup:
-    """One internally-lockstep cohort of a networked batch.
+class _Cohort:
+    """One internally-lockstep group of sessions: the engine's lockstep unit.
 
-    Sessions are grouped by (ABR type, exit type, ladder, segment duration,
-    ``start_step``): within a group every session sits at the same *local*
-    segment index at every slot, so the existing vector kernels and window
-    reductions apply unchanged.  Coupling across groups flows exclusively
-    through the shared per-slot allocator.
+    Every session of a cohort shares the ABR and exit-model types, the ladder
+    and the segment duration, and sits at the same *local* segment index at
+    every step, so the vector kernels and window reductions apply unchanged.
+    Networked cohorts are further keyed by ``start_step``; coupling across
+    them flows exclusively through the shared per-slot allocator.
     """
 
-    indices: np.ndarray  # batch positions of the group's sessions
+    indices: np.ndarray  # batch positions of the cohort's sessions
     specs: list
-    start: int
+    start: int  # first global slot (networked batches only)
     max_seg: np.ndarray
     max_steps: int
     segment_duration: float
     bitrates: np.ndarray
-    bandwidth: np.ndarray  # (n, max_steps) access-link demand rows
+    bandwidth: np.ndarray  # (n, max_steps) trace rows: throughput, or link demand
     sizes: np.ndarray  # (n, max_steps, L)
     abr_kernel: object
     exit_kernel: object | None
@@ -185,7 +193,7 @@ class _NetGroup:
     alive: np.ndarray = field(init=False)
     exited_early: np.ndarray = field(init=False)
     steps_taken: np.ndarray = field(init=False)
-    observed: np.ndarray = field(init=False)  # allocated throughput per local step
+    observed: np.ndarray = field(init=False)  # throughput each local step ran at
 
     def __post_init__(self) -> None:
         n = len(self.specs)
@@ -308,7 +316,7 @@ class VectorBackend(SimBackend):
         self._record_fallback(len(fallback), len(specs))
 
         for key, indices in sorted(groups.items(), key=lambda item: item[0][0]):  # contract: DET-ITER-003
-            traces = self._run_group([specs[i] for i in indices], config)
+            traces = self._run_group([specs[i] for i in indices], indices, config)
             for index, trace in zip(indices, traces):
                 results[index] = trace
             obs_live.add_sessions(len(indices))
@@ -386,7 +394,7 @@ class VectorBackend(SimBackend):
 
     @classmethod
     def _build_abr_kernel(cls, specs, ladder):
-        """ABR kernel + optional controller host for one homogeneous group.
+        """ABR kernel + optional controller host for one cohort.
 
         Plain policies supply their own ``vector_kernel``; controller-wrapped
         policies (LingXi) build the kernel over their *inner* algorithms and
@@ -414,236 +422,30 @@ class VectorBackend(SimBackend):
         return kernel, host
 
     def _run_group(
-        self, specs: list[SessionSpec], config: SessionConfig
+        self, members: list[SessionSpec], indices: list[int], config: SessionConfig
     ) -> list[PlaybackTrace]:
-        """Advance one homogeneous group (same ABR/exit types, same ladder)."""
-        obs.counter_add("vector.cohorts")
-        obs.observe("vector.cohort_sessions", len(specs))
+        """Run one uncoupled cohort to completion at its trace values.
+
+        The cohort is built here, right before it runs, so LingXi wrappers
+        shared across waves are reset in the scalar engine's order.
+        """
         with obs.span("vector.run_group"):
-            return self._run_group_impl(specs, config)
-
-    def _run_group_impl(
-        self, specs: list[SessionSpec], config: SessionConfig
-    ) -> list[PlaybackTrace]:
-        num_sessions = len(specs)
-        first_video = specs[0].video
-        segment_duration = float(first_video.segment_duration)
-        bitrates = np.asarray(first_video.ladder.bitrates_kbps, dtype=float)
-        num_levels = bitrates.size
-
-        max_seg = np.empty(num_sessions, dtype=int)
-        for i, spec in enumerate(specs):
-            limit = spec.video.num_segments
-            if config.max_segments is not None:
-                limit = min(limit, config.max_segments)
-            max_seg[i] = limit
-        max_steps = int(max_seg.max())
-
-        # Preallocated per-session inputs: cyclic bandwidth rows and the
-        # (N, max_steps, L) segment-size tensor (videos and traces repeat
-        # across sessions of the same user, so both are cached by identity).
-        bandwidth = np.empty((num_sessions, max_steps))
-        trace_rows: dict[int, np.ndarray] = {}
-        for i, spec in enumerate(specs):
-            row = trace_rows.get(id(spec.trace))
-            if row is None:
-                row = np.resize(
-                    np.asarray(spec.trace.values_kbps, dtype=float), max_steps
-                )
-                trace_rows[id(spec.trace)] = row
-            bandwidth[i] = row
-        sizes = np.empty((num_sessions, max_steps, num_levels))
-        video_rows: dict[int, np.ndarray] = {}
-        step_index = np.arange(max_steps)
-        for i, spec in enumerate(specs):
-            block = video_rows.get(id(spec.video))
-            if block is None:
-                block = spec.video.segment_sizes_kbit[
-                    step_index % spec.video.num_segments
-                ]
-                video_rows[id(spec.video)] = block
-            sizes[i] = block
-
-        abr_kernel, host = self._build_abr_kernel(specs, first_video.ladder)
-
-        has_exit = specs[0].exit_model is not None
-        exit_models = [spec.exit_model for spec in specs]
-        if has_exit:
-            exit_kernel = type(exit_models[0]).vector_exit_kernel(exit_models)
-            for model in exit_models:
-                model.reset()
-            # One Philox substream per session, pre-drawn: row i's uniforms
-            # equal the sequence the scalar engine would draw step by step.
-            uniforms = np.empty((num_sessions, max_steps))
-            for i, spec in enumerate(specs):
-                uniforms[i] = session_rng(spec.seed).random(max_steps)
-
-        buffer = np.full(num_sessions, float(config.initial_buffer))
-        last_level = np.full(num_sessions, -1, dtype=int)
-        cumulative_stall = np.zeros(num_sessions)
-        stall_count = np.zeros(num_sessions, dtype=int)
-        alive = np.ones(num_sessions, dtype=bool)
-        exited_early = np.zeros(num_sessions, dtype=bool)
-        steps_taken = np.zeros(num_sessions, dtype=int)
-
-        level_rec = np.zeros((num_sessions, max_steps), dtype=int)
-        size_rec = np.empty((num_sessions, max_steps))
-        download_rec = np.empty((num_sessions, max_steps))
-        stall_rec = np.empty((num_sessions, max_steps))
-        wait_rec = np.empty((num_sessions, max_steps))
-        buffer_before_rec = np.empty((num_sessions, max_steps))
-        buffer_after_rec = np.empty((num_sessions, max_steps))
-        cumulative_rec = np.empty((num_sessions, max_steps))
-        stall_count_rec = np.zeros((num_sessions, max_steps), dtype=int)
-        probability_rec = np.zeros((num_sessions, max_steps))
-
-        row_index = np.arange(num_sessions)
-        for k in range(max_steps):
-            active = alive & (k < max_seg)
-            if not active.any():
-                break
-
-            obs_live.pulse()  # wall-clock heartbeat; no-op without a live run
-            with obs.span("vector.step"):
-                # Bandwidth-window statistics *before* observing this step's
-                # throughput — columns [k-8, k), exactly the scalar model's window.
-                if k == 0:
-                    window = bandwidth[:, 0:0]
-                    mean = np.full(num_sessions, _PRIOR_MEAN)
-                else:
-                    window = bandwidth[:, max(0, k - _WINDOW) : k]
-                    mean = window.mean(axis=1)
-                if k < 2:
-                    std = np.full(num_sessions, _PRIOR_STD)
-                else:
-                    std = np.maximum(np.std(window, axis=1, ddof=1), 1e-6)
-                buffer_cap = dynamic_buffer_cap(
-                    mean, std, base_cap=config.base_buffer_cap
-                )
-
-                context = VectorStepContext(
-                    k=k,
-                    buffer=buffer,
-                    buffer_cap=buffer_cap,
-                    last_level=last_level,
-                    segment_sizes=sizes[:, k, :],
-                    throughput_window=window,
-                    bandwidth_mean=mean,
-                    bandwidth_std=std,
-                    bitrates=bitrates,
-                    segment_duration=segment_duration,
-                )
-                levels = np.asarray(abr_kernel(context), dtype=int)
-                if levels.min() < 0 or levels.max() >= num_levels:
-                    raise ValueError(
-                        f"vector ABR kernel returned levels outside "
-                        f"[0, {num_levels}) at step {k}"
-                    )
-
-                # Equation 3, batched (same operation order as PlayerEnvironment.step).
-                bandwidth_k = bandwidth[:, k]
-                size = sizes[:, k, :][row_index, levels]
-                download = size / bandwidth_k
-                if k == 0:
-                    stall = np.where(
-                        buffer == 0.0, 0.0, np.maximum(download - buffer, 0.0)
-                    )
-                else:
-                    stall = np.maximum(download - buffer, 0.0)
-                drained = np.maximum(buffer - download, 0.0)
-                unclipped = drained + segment_duration
-                overflow = np.maximum(unclipped - buffer_cap, 0.0)
-                wait = overflow + config.rtt
-                buffer_after = np.maximum(unclipped - overflow, 0.0)
-                buffer_after = np.minimum(buffer_after, buffer_cap)
-
-                stalled = stall > 1e-12
-                cumulative_stall = np.where(
-                    active, cumulative_stall + stall, cumulative_stall
-                )
-                stall_count = stall_count + (active & stalled)
-
-                if has_exit:
-                    view = ExitStepView(
-                        k=k,
-                        level=levels,
-                        previous_level=last_level,
-                        stall_time=stall,
-                        cumulative_stall_time=cumulative_stall,
-                        stall_count=stall_count,
-                        watch_time=(k + 1) * segment_duration,
-                        buffer=buffer_after,
-                        throughput=bandwidth_k,
-                        active=active,
-                        stalled=stalled,
-                    )
-                    probabilities = np.asarray(exit_kernel(view), dtype=float)
-                    # NaN must fail this check too (the scalar engine's
-                    # `not 0.0 <= p <= 1.0` rejects it), hence the negated form.
-                    if np.any(active & ~((probabilities >= 0.0) & (probabilities <= 1.0))):
-                        raise ValueError("exit probability must be in [0, 1]")
-                    exits = active & (uniforms[:, k] < probabilities)
-                    probability_rec[:, k] = probabilities
-                else:
-                    exits = np.zeros(num_sessions, dtype=bool)
-
-                level_rec[:, k] = levels
-                size_rec[:, k] = size
-                download_rec[:, k] = download
-                stall_rec[:, k] = stall
-                wait_rec[:, k] = wait
-                buffer_before_rec[:, k] = buffer
-                buffer_after_rec[:, k] = buffer_after
-                cumulative_rec[:, k] = cumulative_stall
-                stall_count_rec[:, k] = stall_count
-
-                if host is not None:
-                    # Same point in the segment lifecycle as the scalar engine's
-                    # ``observe`` hook: after the exit draw, before the next
-                    # segment's decision — parameter adjustments land on k+1.
-                    host.observe_step(
-                        active=active,
-                        levels=levels,
-                        stall=stall,
-                        throughput=bandwidth_k,
-                        buffer_after=buffer_after,
-                        exits=exits,
-                        bitrates=bitrates,
-                    )
-
-                steps_taken[active] = k + 1
-                exited_early |= exits
-                alive &= ~exits
-                buffer = np.where(active, buffer_after, buffer)
-                last_level = np.where(active, levels, last_level)
-
-        if host is not None:
-            host.finalize()
-        return _group_traces(
-            specs,
-            steps_taken,
-            exited_early,
-            segment_duration,
-            bitrates,
-            level=level_rec,
-            size_kbit=size_rec,
-            bandwidth_kbps=bandwidth,
-            download_time=download_rec,
-            stall_time=stall_rec,
-            wait_time=wait_rec,
-            buffer_before=buffer_before_rec,
-            buffer_after=buffer_after_rec,
-            cumulative_stall_time=cumulative_rec,
-            stall_count=stall_count_rec,
-            exit_probability=probability_rec,
-        )
+            cohort = self._build_cohort(members, indices, config)
+            for j in range(cohort.max_steps):
+                active = cohort.alive & (j < cohort.max_seg)
+                if not active.any():
+                    break
+                obs_live.pulse()  # wall-clock heartbeat; no-op without a live run
+                with obs.span("vector.step"):
+                    self._step_cohort(cohort, j, active, cohort.bandwidth[:, j], config)
+            return _cohort_traces(cohort)
 
     def _run_networked(
-        self, specs, config: SessionConfig, network, link_usage, scalar_indices=()
+        self, specs, config: SessionConfig, network, link_usage, scalar_indices
     ) -> list[PlaybackTrace]:
         """Coupled lockstep execution: cohorts advance, links fair-share.
 
-        The batch is partitioned into :class:`_NetGroup` cohorts (same ABR /
+        The batch is partitioned into cohorts (:class:`_Cohort`: same ABR /
         exit types, ladder, segment duration and ``start_step``) that each
         stay internally lockstep; every slot gathers all cohorts' access-link
         demands into one batch-order vector, fair-shares each link through
@@ -667,7 +469,7 @@ class VectorBackend(SimBackend):
         weights = np.asarray([spec.weight for spec in specs], dtype=float)
         scalar_set = set(scalar_indices)
         vector_indices = [i for i in range(num_sessions) if i not in scalar_set]
-        groups = self._build_net_groups(specs, config, vector_indices)
+        cohorts = self._build_net_groups(specs, config, vector_indices)
 
         # Scalar cohort: reference sessions, reset up front exactly like
         # run_networked_scalar (shared instances keep "one brain" semantics).
@@ -690,7 +492,7 @@ class VectorBackend(SimBackend):
         }
 
         horizon = max(
-            [group.start + group.max_steps for group in groups]
+            [cohort.start + cohort.max_steps for cohort in cohorts]
             + [live_ends[index] for index in scalar_order],
         )
         demand = np.zeros(num_sessions)
@@ -715,11 +517,11 @@ class VectorBackend(SimBackend):
                     profile_rows[(user_id, length)] = row
                 return row
 
-            for group in groups:
-                group.miss = np.stack(
+            for cohort in cohorts:
+                cohort.miss = np.stack(
                     [
-                        _miss_row(spec.user_id, group.max_steps)
-                        for spec in group.specs
+                        _miss_row(spec.user_id, cohort.max_steps)
+                        for spec in cohort.specs
                     ]
                 )
             live_miss = {
@@ -733,28 +535,28 @@ class VectorBackend(SimBackend):
             active_global[:] = False
             if tiered:
                 full_path[:] = False
-            stepping: list[tuple[_NetGroup, int, np.ndarray]] = []
+            stepping: list[tuple[_Cohort, int, np.ndarray]] = []
             runnable_any = False
-            for group in groups:
-                j = k - group.start
+            for cohort in cohorts:
+                j = k - cohort.start
                 if j < 0:
                     # Not started: the cohort still counts as runnable (the
                     # scalar engine keeps emitting idle-slot usage samples
                     # while any future session exists), but takes no capacity.
-                    runnable_any = runnable_any or bool(group.alive.any())
+                    runnable_any = runnable_any or bool(cohort.alive.any())
                     continue
-                if j >= group.max_steps:
+                if j >= cohort.max_steps:
                     continue
-                active = group.alive & (j < group.max_seg)
+                active = cohort.alive & (j < cohort.max_seg)
                 if active.any():
                     runnable_any = True
-                    stepping.append((group, j, active))
-                    demand[group.indices] = np.where(
-                        active, group.bandwidth[:, j], 0.0
+                    stepping.append((cohort, j, active))
+                    demand[cohort.indices] = np.where(
+                        active, cohort.bandwidth[:, j], 0.0
                     )
-                    active_global[group.indices] = active
+                    active_global[cohort.indices] = active
                     if tiered:
-                        full_path[group.indices] = active & group.miss[:, j]
+                        full_path[cohort.indices] = active & cohort.miss[:, j]
             live_stepping: list[int] = []
             for index in scalar_order:
                 if not live_alive[index] or k >= live_ends[index]:
@@ -781,9 +583,9 @@ class VectorBackend(SimBackend):
             )
             if stepping:
                 with obs.span("vector.step"):
-                    for group, j, active in stepping:
-                        self._step_net_group(
-                            group, j, active, allocations[group.indices], config
+                    for cohort, j, active in stepping:
+                        self._step_cohort(
+                            cohort, j, active, allocations[cohort.indices], config
                         )
             if live_stepping:
                 with obs.span("networked.session_step"):
@@ -794,38 +596,15 @@ class VectorBackend(SimBackend):
         results: list[PlaybackTrace | None] = [None] * num_sessions
         for index in scalar_order:
             results[index] = live[index].playback()
-        for group in groups:
-            if group.host is not None:
-                group.host.finalize()
-        for group in groups:
-            traces = _group_traces(
-                group.specs,
-                group.steps_taken,
-                group.exited_early,
-                group.segment_duration,
-                group.bitrates,
-                level=group.level_rec,
-                size_kbit=group.size_rec,
-                bandwidth_kbps=group.observed,
-                download_time=group.download_rec,
-                stall_time=group.stall_rec,
-                wait_time=group.wait_rec,
-                buffer_before=group.buffer_before_rec,
-                buffer_after=group.buffer_after_rec,
-                cumulative_stall_time=group.cumulative_rec,
-                stall_count=group.stall_count_rec,
-                exit_probability=group.probability_rec,
-            )
-            for index, trace in zip(group.indices, traces):
+        for cohort in cohorts:
+            for index, trace in zip(cohort.indices, _cohort_traces(cohort)):
                 results[int(index)] = trace
         return results
 
     def _build_net_groups(
-        self, specs, config: SessionConfig, vector_indices=None
-    ) -> list[_NetGroup]:
-        """Partition a networked batch into internally-lockstep cohorts."""
-        if vector_indices is None:
-            vector_indices = range(len(specs))
+        self, specs, config: SessionConfig, vector_indices
+    ) -> list[_Cohort]:
+        """Partition a networked batch's lockstep sessions into cohorts."""
         grouped: dict[tuple, list[int]] = {}
         for index in vector_indices:
             spec = specs[index]
@@ -838,254 +617,284 @@ class VectorBackend(SimBackend):
                 spec.start_step,
             )
             grouped.setdefault(key, []).append(index)
+        return [
+            self._build_cohort([specs[i] for i in indices], indices, config)
+            for indices in grouped.values()
+        ]
 
-        groups: list[_NetGroup] = []
-        for indices in grouped.values():
-            members = [specs[i] for i in indices]
-            first_video = members[0].video
-            segment_duration = float(first_video.segment_duration)
-            bitrates = np.asarray(first_video.ladder.bitrates_kbps, dtype=float)
-            n = len(members)
+    def _build_cohort(
+        self, members: list[SessionSpec], indices: list[int], config: SessionConfig
+    ) -> _Cohort:
+        """Prepare one cohort: inputs, kernels, resets and exit uniforms.
 
-            max_seg = np.empty(n, dtype=int)
+        ``indices`` are the members' batch positions.  Every member's ABR and
+        exit model is reset here, exactly like the scalar engine would at
+        session start.
+        """
+        n = len(members)
+        obs.counter_add("vector.cohorts")
+        obs.observe("vector.cohort_sessions", n)
+        first_video = members[0].video
+        bitrates = np.asarray(first_video.ladder.bitrates_kbps, dtype=float)
+
+        max_seg = np.empty(n, dtype=int)
+        for i, spec in enumerate(members):
+            limit = spec.video.num_segments
+            if config.max_segments is not None:
+                limit = min(limit, config.max_segments)
+            max_seg[i] = limit
+        max_steps = int(max_seg.max())
+
+        # Cyclic bandwidth rows and the (n, max_steps, L) segment-size tensor
+        # (videos and traces repeat across sessions of the same user, so both
+        # are cached by identity).
+        bandwidth = np.empty((n, max_steps))
+        trace_rows: dict[int, np.ndarray] = {}
+        for i, spec in enumerate(members):
+            row = trace_rows.get(id(spec.trace))
+            if row is None:
+                row = np.resize(
+                    np.asarray(spec.trace.values_kbps, dtype=float), max_steps
+                )
+                trace_rows[id(spec.trace)] = row
+            bandwidth[i] = row
+        sizes = np.empty((n, max_steps, bitrates.size))
+        video_rows: dict[int, np.ndarray] = {}
+        step_index = np.arange(max_steps)
+        for i, spec in enumerate(members):
+            block = video_rows.get(id(spec.video))
+            if block is None:
+                block = spec.video.segment_sizes_kbit[
+                    step_index % spec.video.num_segments
+                ]
+                video_rows[id(spec.video)] = block
+            sizes[i] = block
+
+        abr_kernel, host = self._build_abr_kernel(members, first_video.ladder)
+        if members[0].exit_model is not None:
+            models = [spec.exit_model for spec in members]
+            exit_kernel = type(models[0]).vector_exit_kernel(models)
+            for model in models:
+                model.reset()
+            # One Philox substream per session, pre-drawn: row i's uniforms
+            # equal the sequence the scalar engine would draw step by step.
+            uniforms = np.empty((n, max_steps))
             for i, spec in enumerate(members):
-                limit = spec.video.num_segments
-                if config.max_segments is not None:
-                    limit = min(limit, config.max_segments)
-                max_seg[i] = limit
-            max_steps = int(max_seg.max())
+                uniforms[i] = session_rng(spec.seed).random(max_steps)
+        else:
+            exit_kernel = None
+            uniforms = None
 
-            bandwidth = np.empty((n, max_steps))
-            trace_rows: dict[int, np.ndarray] = {}
-            for i, spec in enumerate(members):
-                row = trace_rows.get(id(spec.trace))
-                if row is None:
-                    row = np.resize(
-                        np.asarray(spec.trace.values_kbps, dtype=float), max_steps
-                    )
-                    trace_rows[id(spec.trace)] = row
-                bandwidth[i] = row
-            sizes = np.empty((n, max_steps, bitrates.size))
-            video_rows: dict[int, np.ndarray] = {}
-            step_index = np.arange(max_steps)
-            for i, spec in enumerate(members):
-                block = video_rows.get(id(spec.video))
-                if block is None:
-                    block = spec.video.segment_sizes_kbit[
-                        step_index % spec.video.num_segments
-                    ]
-                    video_rows[id(spec.video)] = block
-                sizes[i] = block
-
-            abr_kernel, host = self._build_abr_kernel(members, first_video.ladder)
-            if members[0].exit_model is not None:
-                models = [spec.exit_model for spec in members]
-                exit_kernel = type(models[0]).vector_exit_kernel(models)
-                for model in models:
-                    model.reset()
-                uniforms = np.empty((n, max_steps))
-                for i, spec in enumerate(members):
-                    uniforms[i] = session_rng(spec.seed).random(max_steps)
-            else:
-                exit_kernel = None
-                uniforms = None
-
-            group = _NetGroup(
-                indices=np.asarray(indices, dtype=int),
-                specs=members,
-                start=members[0].start_step,
-                max_seg=max_seg,
-                max_steps=max_steps,
-                segment_duration=segment_duration,
-                bitrates=bitrates,
-                bandwidth=bandwidth,
-                sizes=sizes,
-                abr_kernel=abr_kernel,
-                exit_kernel=exit_kernel,
-                uniforms=uniforms,
-                host=host,
-            )
-            group.buffer[:] = float(config.initial_buffer)
-            groups.append(group)
-        return groups
+        cohort = _Cohort(
+            indices=np.asarray(indices, dtype=int),
+            specs=members,
+            start=members[0].start_step,
+            max_seg=max_seg,
+            max_steps=max_steps,
+            segment_duration=float(first_video.segment_duration),
+            bitrates=bitrates,
+            bandwidth=bandwidth,
+            sizes=sizes,
+            abr_kernel=abr_kernel,
+            exit_kernel=exit_kernel,
+            uniforms=uniforms,
+            host=host,
+        )
+        cohort.buffer[:] = float(config.initial_buffer)
+        return cohort
 
     @staticmethod
-    def _step_net_group(
-        group: _NetGroup,
+    def _step_cohort(
+        cohort: _Cohort,
         j: int,
         active: np.ndarray,
         allocated: np.ndarray,
         config: SessionConfig,
     ) -> None:
-        """Advance one cohort one local step at the allocator's throughputs.
+        """Advance one cohort one local step: Equation 3 over the active rows.
 
-        Identical array math to the un-networked lockstep loop, with two
-        substitutions: the step's bandwidth is the allocation (not the trace
-        value), and the bandwidth-window statistics read from the cohort's
-        *observed* throughput history (the previous allocations) — exactly
-        what the scalar player's :class:`~repro.sim.bandwidth.BandwidthModel`
-        accumulates.
+        ``allocated`` is the step's throughput per row: the trace value in an
+        uncoupled batch, the allocator's share in a networked one.  The
+        bandwidth-window statistics read the cohort's *observed* throughput
+        history (the previous steps' ``allocated``) — exactly what the scalar
+        player's :class:`~repro.sim.bandwidth.BandwidthModel` accumulates.
+        Only ``active`` rows are checked and advanced, and only their entries
+        reach a trace; the others are masked to finite placeholders, as the
+        scalar engine never asks a finished session for a decision.
         """
-        n = len(group.specs)
+        n = len(cohort.specs)
         row_index = np.arange(n)
         # Rows that are done or exited must stay finite through the shared
         # array expressions; their values are never recorded.
         alloc = np.where(active, allocated, 1.0)
 
-        if j == 0:
-            window = group.observed[:, 0:0]
+        # Window mean and sample std in one pass: the ufunc sequence of
+        # ``BandwidthModel._window_statistics`` (that of np.mean / np.std),
+        # reduced row-wise.
+        window = cohort.observed[:, max(0, j - _WINDOW) : j]
+        width = window.shape[1]
+        if width == 0:
             mean = np.full(n, _PRIOR_MEAN)
         else:
-            window = group.observed[:, max(0, j - _WINDOW) : j]
-            mean = window.mean(axis=1)
-        if j < 2:
+            mean = np.add.reduce(window, axis=1) / width
+        if width < 2:
             std = np.full(n, _PRIOR_STD)
         else:
-            std = np.maximum(np.std(window, axis=1, ddof=1), 1e-6)
+            deviations = window - mean[:, None]
+            variance = np.add.reduce(deviations * deviations, axis=1) / (width - 1)
+            std = np.maximum(np.sqrt(variance), 1e-6)
         buffer_cap = dynamic_buffer_cap(mean, std, base_cap=config.base_buffer_cap)
 
         context = VectorStepContext(
             k=j,
-            buffer=group.buffer,
+            buffer=cohort.buffer,
             buffer_cap=buffer_cap,
-            last_level=group.last_level,
-            segment_sizes=group.sizes[:, j, :],
+            last_level=cohort.last_level,
+            segment_sizes=cohort.sizes[:, j, :],
             throughput_window=window,
             bandwidth_mean=mean,
             bandwidth_std=std,
-            bitrates=group.bitrates,
-            segment_duration=group.segment_duration,
+            bitrates=cohort.bitrates,
+            segment_duration=cohort.segment_duration,
         )
-        levels = np.asarray(group.abr_kernel(context), dtype=int)
-        num_levels = group.bitrates.size
-        if np.any(active & ((levels < 0) | (levels >= num_levels))):
+        # Finished rows are masked to level 0 before the range check.
+        levels = np.where(active, np.asarray(cohort.abr_kernel(context), dtype=int), 0)
+        num_levels = cohort.bitrates.size
+        if levels.min() < 0 or levels.max() >= num_levels:
             raise ValueError(
                 f"vector ABR kernel returned levels outside "
                 f"[0, {num_levels}) at step {j}"
             )
-        levels = np.where(active, levels, 0)
 
-        size = group.sizes[:, j, :][row_index, levels]
+        size = cohort.sizes[:, j, :][row_index, levels]
         download = size / alloc
         if j == 0:
             stall = np.where(
-                group.buffer == 0.0, 0.0, np.maximum(download - group.buffer, 0.0)
+                cohort.buffer == 0.0, 0.0, np.maximum(download - cohort.buffer, 0.0)
             )
         else:
-            stall = np.maximum(download - group.buffer, 0.0)
-        drained = np.maximum(group.buffer - download, 0.0)
-        unclipped = drained + group.segment_duration
+            stall = np.maximum(download - cohort.buffer, 0.0)
+        drained = np.maximum(cohort.buffer - download, 0.0)
+        unclipped = drained + cohort.segment_duration
         overflow = np.maximum(unclipped - buffer_cap, 0.0)
         wait = overflow + config.rtt
         buffer_after = np.maximum(unclipped - overflow, 0.0)
         buffer_after = np.minimum(buffer_after, buffer_cap)
 
         stalled = stall > 1e-12
-        group.cumulative_stall = np.where(
-            active, group.cumulative_stall + stall, group.cumulative_stall
+        cohort.cumulative_stall = np.where(
+            active, cohort.cumulative_stall + stall, cohort.cumulative_stall
         )
-        group.stall_count = group.stall_count + (active & stalled)
+        cohort.stall_count = cohort.stall_count + (active & stalled)
 
-        if group.exit_kernel is not None:
+        if cohort.exit_kernel is not None:
             view = ExitStepView(
                 k=j,
                 level=levels,
-                previous_level=group.last_level,
+                previous_level=cohort.last_level,
                 stall_time=stall,
-                cumulative_stall_time=group.cumulative_stall,
-                stall_count=group.stall_count,
-                watch_time=(j + 1) * group.segment_duration,
+                cumulative_stall_time=cohort.cumulative_stall,
+                stall_count=cohort.stall_count,
+                watch_time=(j + 1) * cohort.segment_duration,
                 buffer=buffer_after,
                 throughput=alloc,
                 active=active,
                 stalled=stalled,
             )
-            probabilities = np.asarray(group.exit_kernel(view), dtype=float)
+            probabilities = np.asarray(cohort.exit_kernel(view), dtype=float)
             if np.any(
                 active & ~((probabilities >= 0.0) & (probabilities <= 1.0))
             ):
                 raise ValueError("exit probability must be in [0, 1]")
-            exits = active & (group.uniforms[:, j] < probabilities)
-            group.probability_rec[:, j] = probabilities
+            exits = active & (cohort.uniforms[:, j] < probabilities)
+            cohort.probability_rec[:, j] = probabilities
         else:
             exits = np.zeros(n, dtype=bool)
 
-        group.level_rec[:, j] = levels
-        group.size_rec[:, j] = size
-        group.download_rec[:, j] = download
-        group.stall_rec[:, j] = stall
-        group.wait_rec[:, j] = wait
-        group.buffer_before_rec[:, j] = group.buffer
-        group.buffer_after_rec[:, j] = buffer_after
-        group.cumulative_rec[:, j] = group.cumulative_stall
-        group.stall_count_rec[:, j] = group.stall_count
-        group.observed[:, j] = alloc
+        cohort.level_rec[:, j] = levels
+        cohort.size_rec[:, j] = size
+        cohort.download_rec[:, j] = download
+        cohort.stall_rec[:, j] = stall
+        cohort.wait_rec[:, j] = wait
+        cohort.buffer_before_rec[:, j] = cohort.buffer
+        cohort.buffer_after_rec[:, j] = buffer_after
+        cohort.cumulative_rec[:, j] = cohort.cumulative_stall
+        cohort.stall_count_rec[:, j] = cohort.stall_count
+        cohort.observed[:, j] = alloc
 
-        if group.host is not None:
-            group.host.observe_step(
+        if cohort.host is not None:
+            cohort.host.observe_step(
                 active=active,
                 levels=levels,
                 stall=stall,
                 throughput=alloc,
                 buffer_after=buffer_after,
                 exits=exits,
-                bitrates=group.bitrates,
+                bitrates=cohort.bitrates,
             )
 
-        group.steps_taken[active] = j + 1
-        group.exited_early |= exits
-        group.alive &= ~exits
-        group.buffer = np.where(active, buffer_after, group.buffer)
-        group.last_level = np.where(active, levels, group.last_level)
+        cohort.steps_taken[active] = j + 1
+        cohort.exited_early |= exits
+        cohort.alive &= ~exits
+        cohort.buffer = np.where(active, buffer_after, cohort.buffer)
+        cohort.last_level = np.where(active, levels, cohort.last_level)
 
 
-def _group_traces(
-    specs: Sequence[SessionSpec],
-    steps_taken: np.ndarray,
-    exited_early: np.ndarray,
-    segment_duration: float,
-    bitrates: np.ndarray,
-    **recorded: np.ndarray,
-) -> list[PlaybackTrace]:
-    """One trace per session of a lockstep group, straight from its columns.
+def _cohort_traces(cohort: _Cohort) -> list[PlaybackTrace]:
+    """One trace per session of a finished cohort, straight from its columns.
 
-    ``recorded`` holds the engine's padded ``(sessions, max_steps)`` per-step
-    matrices, keyed by :class:`SegmentRecord` field; the remaining fields
-    (segment index, bitrate, watch time, exit flag) are derived here.  Each
-    trace receives its own trimmed copy of every row, so no trace keeps a
-    padded group matrix alive.
+    Writes the controller host's final state back first (checkpoints and a
+    user's next wave read it).  The recorded ``(sessions, max_steps)``
+    matrices supply the per-step fields; segment index, bitrate, watch time
+    and the exit flag are derived here.  Each trace receives its own trimmed
+    copy of every row, so no trace keeps a padded cohort matrix alive.
     """
-    num_sessions, max_steps = recorded["level"].shape
-    steps = np.arange(max_steps)
-    exited = np.zeros((num_sessions, max_steps), dtype=bool)
-    last = np.flatnonzero(exited_early & (steps_taken > 0))
-    exited[last, steps_taken[last] - 1] = True
-    matrices = {
-        **recorded,
-        "bitrate_kbps": bitrates[recorded["level"]],
-        "exited": exited,
-    }
-    shared = {
-        "segment_index": steps,
-        "watch_time": (steps + 1) * segment_duration,
-    }
-    traces = []
-    for i, spec in enumerate(specs):
-        n = int(steps_taken[i])
-        columns = {name: row[:n].copy() for name, row in shared.items()}
-        for name, matrix in matrices.items():
-            columns[name] = matrix[i, :n].copy()
-        traces.append(
-            PlaybackTrace(
-                user_id=spec.user_id,
-                video_duration=spec.video.duration,
-                segment_duration=spec.video.segment_duration,
-                trace_name=spec.trace.name,
-                columns=columns,
-                exited_early=bool(exited_early[i]),
+    with obs.span("vector.traces"):
+        if cohort.host is not None:
+            cohort.host.finalize()
+        steps_taken = cohort.steps_taken
+        exited_early = cohort.exited_early
+        num_sessions, max_steps = cohort.level_rec.shape
+        steps = np.arange(max_steps)
+        exited = np.zeros((num_sessions, max_steps), dtype=bool)
+        last = np.flatnonzero(exited_early & (steps_taken > 0))
+        exited[last, steps_taken[last] - 1] = True
+        matrices = {
+            "level": cohort.level_rec,
+            "bitrate_kbps": cohort.bitrates[cohort.level_rec],
+            "size_kbit": cohort.size_rec,
+            "bandwidth_kbps": cohort.observed,
+            "download_time": cohort.download_rec,
+            "stall_time": cohort.stall_rec,
+            "wait_time": cohort.wait_rec,
+            "buffer_before": cohort.buffer_before_rec,
+            "buffer_after": cohort.buffer_after_rec,
+            "cumulative_stall_time": cohort.cumulative_rec,
+            "stall_count": cohort.stall_count_rec,
+            "exit_probability": cohort.probability_rec,
+            "exited": exited,
+        }
+        shared = {
+            "segment_index": steps,
+            "watch_time": (steps + 1) * cohort.segment_duration,
+        }
+        traces = []
+        for i, spec in enumerate(cohort.specs):
+            n = int(steps_taken[i])
+            columns = {name: row[:n].copy() for name, row in shared.items()}
+            for name, matrix in matrices.items():
+                columns[name] = matrix[i, :n].copy()
+            traces.append(
+                PlaybackTrace(
+                    user_id=spec.user_id,
+                    video_duration=spec.video.duration,
+                    segment_duration=spec.video.segment_duration,
+                    trace_name=spec.trace.name,
+                    columns=columns,
+                    exited_early=bool(exited_early[i]),
+                )
             )
-        )
-    return traces
+        return traces
 
 
 register_backend("vector", VectorBackend)

@@ -235,6 +235,8 @@ class TestFleetProfile:
         counters = report["metrics"]["counters"]
         assert counters["fleet.shards"] == 2
         assert counters["allocator.slots"] > 0
+        # networked cohorts are counted like uncoupled ones
+        assert counters["vector.cohorts"] > 0
         assert report["peak_rss_bytes"] is None or report["peak_rss_bytes"] > 0
 
     def test_pooled_report_shows_telemetry_encode_and_pool_decode(
@@ -255,6 +257,32 @@ class TestFleetProfile:
             assert node["count"] == 2  # one per shard
             self_s = node["total_s"] - sum(c["total_s"] for c in node["children"])
             assert self_s >= 0.0, name
+
+    def test_uncoupled_report_shows_trace_assembly_under_run_group(
+        self, population, library
+    ):
+        obs.enable()
+        try:
+            config = FleetConfig(
+                num_shards=2, num_workers=0, sessions_per_user=2,
+                trace_length=40, seed=9, backend="vector",
+            )
+            result = FleetOrchestrator(config).run(population, library)
+        finally:
+            obs.disable()
+        spans = result.obs_report["spans"]
+        parent = (
+            "fleet.run_day/fleet.run_shards/shard.run/shard.run_batch/vector.run_group"
+        )
+        traces = obs.find_span(spans, parent + "/vector.traces")
+        assert traces is not None
+        run_group = obs.find_span(spans, parent)
+        # one hand-off per cohort
+        assert traces["count"] == run_group["count"] > 0
+        counters = result.obs_report["metrics"]["counters"]
+        assert counters["vector.cohorts"] == traces["count"]
+        self_s = run_group["total_s"] - sum(c["total_s"] for c in run_group["children"])
+        assert self_s >= 0.0
 
     def test_lingxi_report_shows_obo_suggest(self, library):
         population = UserPopulation.generate(12, seed=5, bandwidth_median_kbps=900.0)

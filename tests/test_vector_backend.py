@@ -33,6 +33,7 @@ from repro.fleet import (
     LingXiFleetFactory,
 )
 from repro.fleet.telemetry import TelemetryWriter, replay_log_collection, session_event
+from repro.net import EdgeLink, NetworkTopology
 from repro.sim import (
     ScalarBackend,
     SessionSpec,
@@ -426,6 +427,32 @@ class TestLingXiVectorPath:
         assert backend.last_fallback_sessions == 1
 
 
+class LateOutOfRangeABR(ThroughputRule):
+    """Plays level 0, then an out-of-range level from segment ``bad_from`` on.
+
+    Ships its own ``vector_kernel`` so the vector engine runs it lockstep;
+    the kernel answers for every row, finished ones included.
+    """
+
+    def __init__(self, bad_from: int) -> None:
+        super().__init__()
+        self.bad_from = bad_from
+
+    def select_level(self, context):
+        if context.segment_index < self.bad_from:
+            return 0
+        return context.ladder.num_levels
+
+    @classmethod
+    def vector_kernel(cls, policies):
+        bad_from = np.asarray([policy.bad_from for policy in policies])
+
+        def kernel(context) -> np.ndarray:
+            return np.where(context.k < bad_from, 0, context.bitrates.size)
+
+        return kernel
+
+
 class TestBackendSeam:
     def test_registry_contains_builtin_backends(self):
         names = available_backends()
@@ -484,6 +511,59 @@ class TestBackendSeam:
             get_backend("scalar").run_batch(specs)
         with pytest.raises(ValueError, match="exit probability"):
             get_backend("vector").run_batch(specs)
+
+    @staticmethod
+    def _late_out_of_range_specs(short_bad_from: int):
+        """A 6-segment and a 12-segment session; the short one's ABR returns
+        an out-of-range level from segment ``short_bad_from`` on."""
+        trace = StationaryTraceGenerator(2500.0, 300.0).generate(
+            12, np.random.default_rng(1)
+        )
+        return [
+            SessionSpec(
+                abr=LateOutOfRangeABR(short_bad_from),
+                video=Video(num_segments=6, seed=1),
+                trace=trace,
+                seed=0,
+                user_id="short",
+            ),
+            SessionSpec(
+                abr=LateOutOfRangeABR(12),
+                video=Video(num_segments=12, seed=2),
+                trace=trace,
+                seed=1,
+                user_id="long",
+            ),
+        ]
+
+    @staticmethod
+    def _network_kwargs(networked: bool) -> dict:
+        if not networked:
+            return {}
+        return {"network": NetworkTopology(name="fat", links=(EdgeLink("fat", 1e9),))}
+
+    @pytest.mark.parametrize("networked", [False, True], ids=["uncoupled", "networked"])
+    def test_out_of_range_level_on_active_row_rejected(self, networked):
+        kwargs = self._network_kwargs(networked)
+        specs = self._late_out_of_range_specs(short_bad_from=3)
+        with pytest.raises(ValueError, match="invalid level"):
+            get_backend("scalar").run_batch(specs, **kwargs)
+        backend = VectorBackend()
+        with pytest.raises(ValueError, match="levels outside"):
+            backend.run_batch(specs, **kwargs)
+        assert backend.last_fallback_sessions == 0
+
+    @pytest.mark.parametrize("networked", [False, True], ids=["uncoupled", "networked"])
+    def test_out_of_range_level_on_finished_row_ignored(self, networked):
+        """The short session is done before its kernel row goes out of range."""
+        kwargs = self._network_kwargs(networked)
+        specs = self._late_out_of_range_specs(short_bad_from=6)
+        scalar_traces = get_backend("scalar").run_batch(specs, **kwargs)
+        backend = VectorBackend()
+        vector_traces = backend.run_batch(specs, **kwargs)
+        assert backend.last_fallback_sessions == 0
+        assert [len(trace_) for trace_ in vector_traces] == [6, 12]
+        assert vector_traces == scalar_traces
 
     def test_session_rng_is_philox_and_deterministic(self):
         first = session_rng(42)
