@@ -14,7 +14,7 @@ Run directly (CI smoke uses ``TELEMETRY_BENCH_FACTORS`` for a tiny run)::
 
     PYTHONPATH=src python benchmarks/bench_telemetry_reader.py
     PYTHONPATH=src TELEMETRY_BENCH_FACTORS=1,4 \
-        python benchmarks/bench_telemetry_reader.py --no-assert
+        python benchmarks/bench_telemetry_reader.py
 
 or through pytest alongside the other benchmarks::
 
@@ -75,9 +75,9 @@ def _make_corpus(out_dir: Path) -> Path:
 
 
 def _enlarge(base: Path, out: Path, factor: int) -> Path:
-    """Repeat the session events ``factor`` times (run events kept once)."""
+    """Repeat the session blocks ``factor`` times (run events kept once)."""
     lines = base.read_bytes().splitlines(keepends=True)
-    sessions = [line for line in lines if b'"event": "session"' in line]
+    sessions = [line for line in lines if b'"event": "session_block"' in line]
     head = [line for line in lines if line not in sessions]
     with out.open("wb") as handle:
         if head:

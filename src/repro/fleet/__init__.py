@@ -88,10 +88,11 @@ from repro.fleet.scenarios import (
     register_scenario,
 )
 from repro.fleet.telemetry import (
+    SESSIONS_PER_BLOCK,
+    SessionColumns,
     TelemetryEvent,
     TelemetryWriter,
-    encode_events,
-    encode_shard_events,
+    event_sessions,
     iter_shard_events,
     link_utilization_event,
     read_events,
@@ -101,9 +102,7 @@ from repro.fleet.telemetry import (
     replay_run_report,
     replay_run_summary,
     replay_sessions,
-    session_event,
-    session_from_payload,
-    session_payload,
+    session_block_events,
     shard_summary_event,
 )
 
@@ -140,8 +139,6 @@ __all__ = [
     "WorkerPool",
     "shared_pool",
     "shutdown_shared_pools",
-    "encode_events",
-    "encode_shard_events",
     "iter_shard_events",
     "shard_summary_event",
     "FleetConfig",
@@ -166,8 +163,11 @@ __all__ = [
     "available_scenarios",
     "get_scenario",
     "register_scenario",
+    "SESSIONS_PER_BLOCK",
+    "SessionColumns",
     "TelemetryEvent",
     "TelemetryWriter",
+    "event_sessions",
     "link_utilization_event",
     "read_events",
     "replay_link_usage",
@@ -176,7 +176,5 @@ __all__ = [
     "replay_run_report",
     "replay_run_summary",
     "replay_sessions",
-    "session_event",
-    "session_from_payload",
-    "session_payload",
+    "session_block_events",
 ]

@@ -229,10 +229,6 @@ class ShardOutput:
     #: Serialised :meth:`repro.obs.Collector.snapshot` when the shard ran
     #: with ``profile=True``; the orchestrator grafts it into its own tree.
     obs: dict | None = None
-    #: Pre-encoded telemetry JSONL for this shard (pooled runs only): the
-    #: worker serialises its events once into the shared-memory arena and
-    #: :func:`write_fleet_telemetry` streams the blob to disk verbatim.
-    telemetry_blob: bytes | None = None
 
 
 @dataclass(frozen=True)
@@ -282,6 +278,8 @@ class FleetResult:
     logs: LogCollection
     shard_outputs: list[ShardOutput]
     controller_states: dict[str, dict]
+    #: Wall clock from shard dispatch to the end of the run, the telemetry
+    #: write included when ``telemetry_path`` is set.
     wall_time_s: float
     telemetry_path: Path | None = None
     #: Run health report (:func:`repro.obs.build_run_report`) when the run
@@ -541,7 +539,6 @@ class FleetOrchestrator:
         library: VideoLibrary,
         abr_factory,
         network: NetworkTopology | None,
-        telemetry: bool,
         heartbeat: tuple | None = None,
     ) -> list[ShardDescriptor]:
         """Shard descriptors for the pooled path (one per non-empty shard).
@@ -576,7 +573,6 @@ class FleetOrchestrator:
                 network=network_ref,
                 controller_states=task.controller_states,
                 profile=task.profile,
-                telemetry=telemetry,
                 heartbeat=heartbeat,
             )
             for task in tasks
@@ -706,14 +702,12 @@ class FleetOrchestrator:
                             library=library,
                             abr_factory=abr_factory,
                             network=network,
-                            telemetry=telemetry_path is not None,
                             heartbeat=live.worker_token() if live is not None else None,
                         )
                     )
             outputs.sort(key=lambda output: output.shard_index)
             for output in outputs:
                 obs.merge_shard_snapshot(output.obs)
-        wall_time = time.perf_counter() - start  # contract: DET-CLOCK-002 exempt(wall-time telemetry only; excluded from bit-exact comparison)
 
         with obs.span("fleet.merge"):
             sessions: list[SessionLog] = []
@@ -750,7 +744,7 @@ class FleetOrchestrator:
             logs=logs,
             shard_outputs=outputs,
             controller_states=merged_states,
-            wall_time_s=wall_time,
+            wall_time_s=0.0,  # set below, once the telemetry is written
             telemetry_path=Path(telemetry_path) if telemetry_path is not None else None,
         )
         if profiling and obs.enabled():
@@ -778,6 +772,7 @@ class FleetOrchestrator:
         if telemetry_path is not None:
             with obs.span("fleet.telemetry"):
                 write_fleet_telemetry(result, telemetry_path)
+        result.wall_time_s = time.perf_counter() - start  # contract: DET-CLOCK-002 exempt(wall-time telemetry only; excluded from bit-exact comparison)
         return result
 
 
@@ -801,14 +796,9 @@ def write_fleet_telemetry(result: FleetResult, path: str | Path) -> Path:
             )
         )
         for output in result.shard_outputs:
-            if output.telemetry_blob is not None:
-                # Pooled shard: the worker already encoded these exact events
-                # into its shared-memory arena — stream the bytes verbatim.
-                writer.write_raw(output.telemetry_blob)
-            else:
-                # Streamed event by event, so no whole-shard blob is held.
-                with obs.span("telemetry.encode"):
-                    writer.emit_many(iter_shard_events(result.run_id, output))
+            # Streamed block by block, so no whole-shard blob is held.
+            with obs.span("telemetry.encode"):
+                writer.emit_many(iter_shard_events(result.run_id, output))
         if result.obs_report is not None:
             writer.emit(
                 TelemetryEvent(

@@ -19,14 +19,16 @@ workers makes the run *slower* — the anti-scaling recorded in
   (:meth:`WorkerPool.cache`), and each worker rebuilds its shard's profile
   slice and `SeedSequence` locally from ``(seed, num_shards, shard_index)``,
   which is deterministic by construction.
-* **Shared-memory results.**  A worker writes its shard's result — session
-  metadata, every trace column concatenated across the shard's sessions
-  (plus per-trace offsets), link-usage columns, pickled controller states
-  and the pre-encoded telemetry JSONL blob — into one of its two
-  shared-memory arenas.  The parent copies each trace column out once and
-  hands every trace its slice of it, materialises the :class:`ShardOutput`,
-  and acks the arena slot so the worker may reuse it.  Only the tiny layout
-  dict (and the obs snapshot, when profiling) travels over the pipe.
+* **Shared-memory results.**  A worker writes its shard's result — the
+  sessions as :class:`~repro.fleet.telemetry.SessionColumns` (metadata
+  columns, every trace column concatenated across the shard's sessions,
+  per-trace offsets), link-usage columns and pickled controller states —
+  into one of its two shared-memory arenas.  The parent copies each trace
+  column out once and hands every trace its slice of it, materialises the
+  :class:`ShardOutput`, and acks the arena slot so the worker may reuse it.
+  Only the tiny layout dict (and the obs snapshot, when profiling) travels
+  over the pipe.  Telemetry is encoded in the parent from the decoded
+  output, exactly as for inline shards.
 
 Determinism: the pool executes the exact same ``_run_shard`` function on the
 exact same :class:`ShardTask` values the inline path builds, so pooled fleet
@@ -56,8 +58,9 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
+from repro.fleet.telemetry import SESSION_META_COLUMNS, SessionColumns
 from repro.obs import live as obs_live
-from repro.sim.session import TRACE_RECORD_COLUMNS, PlaybackTrace
+from repro.sim.session import TRACE_RECORD_COLUMNS
 
 #: Arena slots per worker: double buffering lets a worker start its next
 #: shard while the parent is still draining the previous one.
@@ -75,20 +78,14 @@ MAX_INFLIGHT = 2
 #: populations, topologies).  LRU eviction, driven by the parent.
 CACHE_CAPACITY = 32
 
-_RESULT_FORMAT_VERSION = 2
+_RESULT_FORMAT_VERSION = 3
 
-#: Fixed order of the numeric result columns in an arena.  ``record.*`` are
-#: the shard's trace columns concatenated in session order;
-#: ``session.offsets`` (one more entry than sessions) delimits each trace.
+#: Fixed order of the numeric result columns in an arena: the shard's
+#: :class:`SessionColumns` (``session.*`` metadata, ``session.offsets`` with
+#: one more entry than sessions, ``record.*`` trace columns concatenated in
+#: session order), then the link-usage columns.
 _RESULT_ARRAYS = (
-    "session.user",
-    "session.trace",
-    "session.day",
-    "session.index",
-    "session.mean_bw",
-    "session.video_duration",
-    "session.segment_duration",
-    "session.exited_early",
+    *(f"session.{name}" for name, _ in SESSION_META_COLUMNS),
     "session.offsets",
     *(f"record.{name}" for name, _ in TRACE_RECORD_COLUMNS),
     "usage.step",
@@ -150,9 +147,6 @@ class ShardDescriptor:
     network: CacheRef | None = None
     controller_states: dict = field(default_factory=dict)
     profile: bool = False
-    #: Pre-encode the shard's telemetry events into the arena so the parent
-    #: can stream them to disk without re-serialising.
-    telemetry: bool = False
     #: Live-monitoring token ``(shm_name, interval_s)`` of the parent's
     #: :class:`repro.obs.live.LiveRun` progress table, or ``None``.  Workers
     #: attach lazily by name (they were forked before the run existed) and
@@ -170,50 +164,21 @@ def _align8(offset: int) -> int:
 
 def _encode_result_arrays(output) -> tuple[dict, bytes, bytes]:
     """Columnar arrays + string table + controller pickle for one output."""
-    users: dict[str, int] = {}
-    trace_names: dict[str, int] = {}
+    sessions = SessionColumns.from_sessions(output.sessions)
     links: dict[str, int] = {}
-    user_idx = [
-        users.setdefault(log.user_id, len(users)) for log in output.sessions
-    ]
-    trace_idx = [
-        trace_names.setdefault(log.trace.trace_name, len(trace_names))
-        for log in output.sessions
-    ]
     link_idx = [
         links.setdefault(sample.link_id, len(links))
         for sample in output.link_usage
     ]
-    traces = [log.trace for log in output.sessions]
     # Tier travels in the string table, parallel to ``links`` (a link's tier
     # is constant within a run, so one entry per link id suffices).
     link_tiers: dict[str, str] = {}
     for sample in output.link_usage:
         link_tiers.setdefault(sample.link_id, sample.tier)
     arrays = {
-        "session.user": np.asarray(user_idx, dtype=np.int32),
-        "session.trace": np.asarray(trace_idx, dtype=np.int32),
-        "session.day": np.asarray(
-            [log.day for log in output.sessions], dtype=np.int64
-        ),
-        "session.index": np.asarray(
-            [log.session_index for log in output.sessions], dtype=np.int64
-        ),
-        "session.mean_bw": np.asarray(
-            [log.mean_bandwidth_kbps for log in output.sessions], dtype=np.float64
-        ),
-        "session.video_duration": np.asarray(
-            [trace.video_duration for trace in traces], dtype=np.float64
-        ),
-        "session.segment_duration": np.asarray(
-            [trace.segment_duration for trace in traces], dtype=np.float64
-        ),
-        "session.exited_early": np.asarray(
-            [trace.exited_early for trace in traces], dtype=np.bool_
-        ),
-        "session.offsets": np.cumsum(
-            [0] + [len(trace) for trace in traces], dtype=np.int64
-        ),
+        **{f"session.{name}": column for name, column in sessions.meta.items()},
+        "session.offsets": sessions.offsets,
+        **{f"record.{name}": column for name, column in sessions.records.items()},
         "usage.step": np.asarray(
             [sample.step for sample in output.link_usage], dtype=np.int64
         ),
@@ -231,14 +196,10 @@ def _encode_result_arrays(output) -> tuple[dict, bytes, bytes]:
             [sample.allocated_kbps for sample in output.link_usage], dtype=np.float64
         ),
     }
-    for name, dtype in TRACE_RECORD_COLUMNS:
-        arrays[f"record.{name}"] = np.concatenate(
-            [np.empty(0, dtype), *(trace.columns[name] for trace in traces)]
-        )
     strings = json.dumps(
         {
-            "users": list(users),
-            "traces": list(trace_names),
+            "users": list(sessions.users),
+            "traces": list(sessions.trace_names),
             "links": list(links),
             "link_tiers": [link_tiers[link_id] for link_id in links],
         }
@@ -250,8 +211,7 @@ def _encode_result_arrays(output) -> tuple[dict, bytes, bytes]:
 
 
 def _layout_result(
-    buf, *, arrays: dict, strings: bytes, controller: bytes,
-    telemetry: bytes | None,
+    buf, *, arrays: dict, strings: bytes, controller: bytes
 ) -> tuple[dict, int]:
     """Write (``buf`` given) or measure (``buf=None``) one packed result.
 
@@ -284,8 +244,6 @@ def _layout_result(
     for name in _RESULT_ARRAYS:
         put_array(name, arrays[name])
     put_bytes("controller", controller)
-    if telemetry is not None:
-        put_bytes("telemetry", telemetry)
     return layout, position
 
 
@@ -295,7 +253,6 @@ def _decode_shard_output(buf, layout: dict, shard_index: int, extra: dict):
     Everything returned is plain Python data — transient numpy views only —
     so the arena slot may be acked (and overwritten) the moment this returns.
     """
-    from repro.analytics.logs import SessionLog
     from repro.fleet.orchestrator import ShardOutput
     from repro.net.allocator import LinkUsageSample
 
@@ -315,51 +272,20 @@ def _decode_shard_output(buf, layout: dict, shard_index: int, extra: dict):
         return get_array(name).tolist()
 
     strings = json.loads(get_bytes("strings").decode("utf-8"))
-    user_ids = [strings["users"][i] for i in get_list("session.user")]
-    trace_names = [strings["traces"][i] for i in get_list("session.trace")]
-    # Each trace column leaves the arena in one copy; traces slice it.
-    columns = {}
-    for name, _ in TRACE_RECORD_COLUMNS:
-        column = get_array(f"record.{name}").copy()
-        column.setflags(write=False)
-        columns[name] = column
-    offsets = get_list("session.offsets")
-    traces = [
-        PlaybackTrace(
-            user_id=user_ids[i],
-            video_duration=video_duration,
-            segment_duration=segment_duration,
-            trace_name=trace_names[i],
-            columns={
-                name: column[offsets[i] : offsets[i + 1]]
-                for name, column in columns.items()
-            },
-            exited_early=exited_early,
-        )
-        for i, (video_duration, segment_duration, exited_early) in enumerate(
-            zip(
-                get_list("session.video_duration"),
-                get_list("session.segment_duration"),
-                get_list("session.exited_early"),
-            )
-        )
-    ]
-    sessions = [
-        SessionLog(
-            user_id=user_ids[i],
-            day=day,
-            session_index=session_index,
-            trace=traces[i],
-            mean_bandwidth_kbps=mean_bw,
-        )
-        for i, (day, session_index, mean_bw) in enumerate(
-            zip(
-                get_list("session.day"),
-                get_list("session.index"),
-                get_list("session.mean_bw"),
-            )
-        )
-    ]
+    # Each trace column leaves the arena in one copy; traces slice it.  The
+    # metadata columns are read into Python values before this returns.
+    sessions = SessionColumns(
+        users=tuple(strings["users"]),
+        trace_names=tuple(strings["traces"]),
+        meta={
+            name: get_array(f"session.{name}") for name, _ in SESSION_META_COLUMNS
+        },
+        offsets=get_array("session.offsets"),
+        records={
+            name: get_array(f"record.{name}").copy()
+            for name, _ in TRACE_RECORD_COLUMNS
+        },
+    ).sessions()
     link_tiers = strings.get("link_tiers") or ["edge"] * len(strings["links"])
     link_usage = [
         LinkUsageSample(
@@ -389,9 +315,6 @@ def _decode_shard_output(buf, layout: dict, shard_index: int, extra: dict):
         link_usage=link_usage,
         fallback_sessions=int(extra["fallback_sessions"]),
         obs=extra["obs"],
-        telemetry_blob=(
-            get_bytes("telemetry") if "telemetry" in regions else None
-        ),
     )
 
 
@@ -439,24 +362,6 @@ def _descriptor_task(descriptor: ShardDescriptor, cache: dict):
         shard_link_ids=shard_link_ids,
         profile=descriptor.profile,
     )
-
-
-def _encode_telemetry(descriptor: ShardDescriptor, output) -> bytes:
-    """The shard's telemetry blob; profiled runs time it as ``telemetry.encode``.
-
-    The span lands in the shard's obs snapshot beside ``shard.run``, so the
-    parent's report shows the worker-side encode cost.
-    """
-    from repro.fleet.telemetry import encode_shard_events
-
-    if not descriptor.profile:
-        return encode_shard_events(descriptor.run_id, output)
-    with obs.collect() as collector:
-        collector.merge_snapshot(output.obs)
-        with obs.span("telemetry.encode"):
-            blob = encode_shard_events(descriptor.run_id, output)
-        output.obs = collector.snapshot()
-    return blob
 
 
 def _worker_main(parent_conn, conn, worker_index: int) -> None:
@@ -515,15 +420,9 @@ def _worker_main(parent_conn, conn, worker_index: int) -> None:
                         # after this worker forked, so it arrives by name.
                         obs_live.attach_worker(*descriptor.heartbeat)
                     output = _run_shard(_descriptor_task(descriptor, cache))
-                    telemetry = (
-                        _encode_telemetry(descriptor, output)
-                        if descriptor.telemetry
-                        else None
-                    )
                     arrays, strings, controller = _encode_result_arrays(output)
                     _, nbytes = _layout_result(
-                        None, arrays=arrays, strings=strings,
-                        controller=controller, telemetry=telemetry,
+                        None, arrays=arrays, strings=strings, controller=controller
                     )
                     slot = task_count % ARENAS_PER_WORKER
                     task_count += 1
@@ -546,7 +445,7 @@ def _worker_main(parent_conn, conn, worker_index: int) -> None:
                         arenas[slot] = arena
                     layout, _ = _layout_result(
                         arena.buf, arrays=arrays, strings=strings,
-                        controller=controller, telemetry=telemetry,
+                        controller=controller,
                     )
                     acked[slot] = False
                     conn.send(
@@ -723,8 +622,6 @@ class WorkerPool:
         with obs.span("pool.decode"):
             output = _decode_shard_output(arena.buf, layout, shard_index, extra)
         obs.counter_add("pool.shm_result_bytes", int(extra["result_bytes"]))
-        if output.telemetry_blob is not None:
-            obs.counter_add("pool.shm_telemetry_bytes", len(output.telemetry_blob))
         obs.gauge_max("pool.shm_arena_bytes", arena.size)
         obs.observe("pool.shard_pack_seconds", float(extra["pack_time_s"]))
         return output

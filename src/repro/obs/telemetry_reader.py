@@ -9,7 +9,8 @@ same files out-of-core:
   event-count chunks with byte offsets and per-chunk event-type counts, so
   readers seek past chunks that cannot contain the event type they want;
 * :func:`iter_events` / :func:`iter_session_logs` — streaming iterators that
-  hold one event (one session) at a time;
+  hold one event (one ``session_block`` of at most
+  :data:`~repro.fleet.telemetry.SESSIONS_PER_BLOCK` sessions) at a time;
 * :func:`stream_fleet_metrics`, :func:`stream_exit_rate_by_stall_time`,
   :func:`stream_segment_exit_rate` — bounded-memory aggregations that
   reproduce the in-memory ``fleet_metrics``/:class:`LogCollection` results
@@ -17,7 +18,7 @@ same files out-of-core:
   the same float operations — pinned bit-for-bit by
   tests/test_telemetry_reader.py).
 
-Peak memory is O(chunk) regardless of file size: a 10x-larger telemetry
+Peak memory is O(one block) regardless of file size: a 10x-larger telemetry
 file aggregates in the same footprint (also pinned by tests).
 """
 
@@ -33,8 +34,8 @@ import numpy as np
 # contract: OBS-NEUTRAL-004 exempt(read-only telemetry codec; decodes events without touching sim state)
 from repro.fleet.telemetry import (
     TelemetryEvent,
+    event_sessions,
     iter_event_lines,
-    session_from_payload,
 )
 
 # v2: adds file_mtime_ns to the freshness fingerprint (a rewritten file with
@@ -260,7 +261,7 @@ def iter_events(
     With an index and an ``event`` filter, chunks containing none of that
     event type are skipped entirely (seek, don't scan) — on a fleet
     telemetry file, asking for the single ``run_end`` event reads a few
-    chunks instead of gigabytes of ``session`` payloads.
+    chunks instead of gigabytes of ``session_block`` payloads.
     """
     if index is not None and event is not None:
         for chunk in index.chunks_with(event):
@@ -280,9 +281,21 @@ def iter_events(
 def iter_session_logs(
     path: str | Path, *, index: TelemetryIndex | None = None
 ) -> Iterator:
-    """Stream :class:`~repro.analytics.logs.SessionLog` objects one at a time."""
-    for parsed in iter_events(path, event="session", index=index):
-        yield session_from_payload(parsed.user_id, parsed.payload)
+    """Stream :class:`~repro.analytics.logs.SessionLog` objects in file order.
+
+    Decodes one ``session_block`` at a time, so memory is bounded by one
+    block.  Old one-event-per-session ``session`` events raise
+    ``ValueError``, as in :func:`repro.fleet.telemetry.replay_log_collection`;
+    with an index, only chunks holding blocks (or old events) are read.
+    """
+    if index is None:
+        events = iter_events(path)
+    elif index.count("session"):
+        events = iter_events(path, event="session", index=index)
+    else:
+        events = iter_events(path, event="session_block", index=index)
+    for parsed in events:
+        yield from event_sessions(parsed)
 
 
 def last_event(

@@ -193,6 +193,38 @@ class PlaybackTrace:
             return cls(**metadata)
         return cls(columns=dict(zip(_COLUMN_NAMES, values)), **metadata)
 
+    @classmethod
+    def from_checked_columns(
+        cls,
+        columns: dict[str, np.ndarray],
+        *,
+        user_id: str,
+        video_duration: float,
+        segment_duration: float,
+        trace_name: str,
+        exited_early: bool,
+    ) -> "PlaybackTrace":
+        """Adopt ``columns`` without the per-trace checks of the constructor.
+
+        For decoders that check a whole batch of traces at once (see
+        :class:`repro.fleet.telemetry.SessionColumns`): the columns must
+        already be exactly the :class:`SegmentRecord` fields, of the
+        :data:`TRACE_RECORD_COLUMNS` dtypes, 1-D, of equal length and
+        read-only.
+        """
+        trace = object.__new__(cls)
+        for name, value in (
+            ("user_id", user_id),
+            ("video_duration", video_duration),
+            ("segment_duration", segment_duration),
+            ("trace_name", trace_name),
+            ("columns", MappingProxyType(columns)),
+            ("exited_early", exited_early),
+            ("_records", None),
+        ):
+            object.__setattr__(trace, name, value)
+        return trace
+
     def __reduce__(self):
         return PlaybackTrace, (
             self.user_id, self.video_duration, self.segment_duration,

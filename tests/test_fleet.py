@@ -35,7 +35,15 @@ from repro.fleet import (
     replay_log_collection,
     save_fleet_checkpoint,
 )
-from repro.fleet.telemetry import session_from_payload, session_payload
+from repro.fleet.telemetry import (
+    SESSIONS_PER_BLOCK,
+    SessionColumns,
+    TelemetryEvent,
+    TelemetryWriter,
+    event_sessions,
+    iter_shard_events,
+)
+from repro.fleet.orchestrator import ShardOutput
 from repro.sim.bandwidth import BandwidthModel
 from repro.sim.video import BitrateLadder, VideoLibrary
 from repro.users.population import UserPopulation
@@ -133,11 +141,13 @@ class TestTelemetry:
         assert events[0].event == "run_start"
         assert events[-1].event == "run_end"
         kinds = {event.event for event in events}
-        assert kinds == {"run_start", "session", "shard_summary", "run_end"}
-        sessions = [e for e in events if e.event == "session"]
-        assert len(sessions) == result.metrics.num_sessions
+        assert kinds == {"run_start", "session_block", "shard_summary", "run_end"}
+        blocks = [e for e in events if e.event == "session_block"]
+        assert sum(len(e.payload["offsets"]) - 1 for e in blocks) == (
+            result.metrics.num_sessions
+        )
         assert all(e.run_id == result.run_id for e in events)
-        assert {e.shard for e in sessions} == {0, 1, 2, 3}
+        assert {e.shard for e in blocks} == {0, 1, 2, 3}
         # run_end carries the deterministic fleet metrics
         assert events[-1].payload["num_sessions"] == result.metrics.num_sessions
 
@@ -146,21 +156,124 @@ class TestTelemetry:
         self, fleet_population, fleet_library, tmp_path
     ):
         result = run_small_fleet(fleet_population, fleet_library, tmp_path)
-        event = next(
-            e for e in read_events(result.telemetry_path) if e.event == "session"
-        )
-        payload = session_payload(result.logs[0])
-        assert set(payload["columns"]) == set(event.payload["columns"])
-        old = {key: value for key, value in event.payload.items() if key != "columns"}
-        old["records"] = [
-            dict(zip(payload["columns"], row))
-            for row in zip(*payload["columns"].values())
-        ]
+        log = result.logs[0]
+        trace = log.trace
+        # The two pre-block forms: one ``session`` event per session, its
+        # trace as per-field lists ("columns") or per-segment dicts ("records").
+        columns = {name: column.tolist() for name, column in trace.columns.items()}
+        old = {
+            "day": log.day,
+            "session_index": log.session_index,
+            "mean_bandwidth_kbps": log.mean_bandwidth_kbps,
+            "video_duration": trace.video_duration,
+            "segment_duration": trace.segment_duration,
+            "trace_name": trace.trace_name,
+            "exited_early": trace.exited_early,
+            "columns": columns,
+        }
+        event = TelemetryEvent(result.run_id, 0, log.user_id, "session", old)
+        with pytest.raises(ValueError, match="'columns' schema"):
+            event_sessions(event)
+        path = tmp_path / "old.jsonl"
+        with TelemetryWriter(path) as writer:
+            writer.emit(event)
+        with pytest.raises(ValueError, match="'columns' schema"):
+            replay_log_collection(path)
+        del old["columns"]
+        old["records"] = [dict(zip(columns, row)) for row in zip(*columns.values())]
         with pytest.raises(ValueError, match="'records' schema"):
-            session_from_payload(event.user_id, old)
+            event_sessions(event)
         del old["records"]
-        with pytest.raises(ValueError, match="no 'columns'"):
-            session_from_payload(event.user_id, old)
+        with pytest.raises(ValueError, match="'session' event"):
+            event_sessions(event)
+
+    def test_blocks_split_a_shard_at_the_block_size(
+        self, fleet_population, fleet_library
+    ):
+        logs = list(run_small_fleet(fleet_population, fleet_library).logs)
+        sessions = (logs * (2 * SESSIONS_PER_BLOCK // len(logs) + 1))[
+            : 2 * SESSIONS_PER_BLOCK + 1
+        ]
+        output = ShardOutput(
+            shard_index=3, sessions=sessions, controller_states={},
+            num_segments=0, wall_time_s=0.0,
+        )
+        blocks = [
+            event for event in iter_shard_events("run", output)
+            if event.event == "session_block"
+        ]
+        assert [len(e.payload["offsets"]) - 1 for e in blocks] == [
+            SESSIONS_PER_BLOCK, SESSIONS_PER_BLOCK, 1
+        ]
+        assert {e.shard for e in blocks} == {3}
+        assert [log for e in blocks for log in event_sessions(e)] == sessions
+
+    def test_zero_session_shard_writes_no_block_and_replays_empty(self, tmp_path):
+        output = ShardOutput(
+            shard_index=0, sessions=[], controller_states={},
+            num_segments=0, wall_time_s=0.0,
+        )
+        events = list(iter_shard_events("run", output))
+        assert [e.event for e in events] == ["shard_summary"]
+        path = tmp_path / "empty.jsonl"
+        with TelemetryWriter(path) as writer:
+            writer.emit_many(events)
+        assert len(replay_log_collection(path)) == 0
+
+
+class TestSessionBlockValidation:
+    """A malformed ``session_block`` fails with ``ValueError`` at decode."""
+
+    @pytest.fixture
+    def payload(self, fleet_population, fleet_library):
+        logs = list(run_small_fleet(fleet_population, fleet_library).logs)[:5]
+        return SessionColumns.from_sessions(logs).as_payload()
+
+    def test_valid_payload_decodes(self, payload):
+        assert len(SessionColumns.from_payload(payload)) == 5
+
+    def test_rejects_foreign_dtype(self, payload):
+        payload["columns"]["stall_time"]["dtype"] = "<f4"
+        with pytest.raises(ValueError, match="'stall_time' has dtype '<f4'"):
+            SessionColumns.from_payload(payload)
+        payload["columns"]["stall_time"]["dtype"] = ">f8"
+        with pytest.raises(ValueError, match="expected '<f8'"):
+            SessionColumns.from_payload(payload)
+
+    def test_rejects_column_length_other_than_last_offset(self, payload):
+        payload["offsets"][-1] -= 1
+        with pytest.raises(ValueError, match=r"offsets\[-1\]"):
+            SessionColumns.from_payload(payload)
+
+    def test_rejects_non_monotone_offsets(self, payload):
+        offsets = payload["offsets"]
+        offsets[2] = offsets[1] - 1
+        with pytest.raises(ValueError, match="monotone"):
+            SessionColumns.from_payload(payload)
+
+    @pytest.mark.parametrize("key", ["user", "day", "exited_early", "offsets"])
+    def test_rejects_unequal_per_session_lists(self, payload, key):
+        payload[key] = payload[key][:-1]
+        with pytest.raises(ValueError, match="unequal lengths"):
+            SessionColumns.from_payload(payload)
+
+    def test_rejects_missing_or_extra_columns(self, payload):
+        payload["columns"]["extra"] = payload["columns"]["stall_time"]
+        with pytest.raises(ValueError, match="exactly the SegmentRecord fields"):
+            SessionColumns.from_payload(payload)
+        del payload["columns"]["extra"], payload["columns"]["level"]
+        with pytest.raises(ValueError, match="exactly the SegmentRecord fields"):
+            SessionColumns.from_payload(payload)
+
+    def test_rejects_bad_base64_and_string_indexes(self, payload):
+        good = payload["columns"]["level"]["data"]
+        payload["columns"]["level"]["data"] = "not base64!"
+        with pytest.raises(ValueError, match="base64"):
+            SessionColumns.from_payload(payload)
+        payload["columns"]["level"]["data"] = good
+        payload["user"][0] = len(payload["users"])
+        with pytest.raises(ValueError, match="user index"):
+            SessionColumns.from_payload(payload)
 
 
 class TestBatchedPredictor:

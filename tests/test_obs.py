@@ -23,6 +23,8 @@ from repro.fleet import (
     LingXiFleetFactory,
     LongitudinalCampaign,
     LongitudinalConfig,
+    replay_link_utilization,
+    replay_log_collection,
     replay_run_report,
     replay_run_summary,
 )
@@ -68,6 +70,17 @@ def _run_fleet(population, library, *, shards, workers=0, profile=False,
         )
     finally:
         obs.disable()
+
+
+def _profiled_run(population, library, **kwargs):
+    """A profiled fleet run plus its collector's whole span tree.
+
+    The run report is built before the telemetry is written, so the
+    ``fleet.telemetry`` phase shows only in the collector's own tree.
+    """
+    collector = obs.enable()
+    result = _run_fleet(population, library, **kwargs)  # disables obs after
+    return result, collector.snapshot()["spans"]
 
 
 def _session_map(result):
@@ -242,13 +255,13 @@ class TestFleetProfile:
     def test_pooled_report_shows_telemetry_encode_and_pool_decode(
         self, population, library, tmp_path
     ):
-        result = _run_fleet(
-            population, library, shards=2, workers=2, profile=True,
+        result, spans = _profiled_run(
+            population, library, shards=2, workers=2,
             telemetry=tmp_path / "telemetry.jsonl",
         )
-        spans = result.obs_report["spans"]
+        # Pooled shards are encoded in the parent, like inline ones.
         paths = {
-            "telemetry.encode": "fleet.run_day/fleet.run_shards/telemetry.encode",
+            "telemetry.encode": "fleet.run_day/fleet.telemetry/telemetry.encode",
             "pool.decode": "fleet.run_day/fleet.run_shards/shard.map/pool.drain/pool.decode",
         }
         for name, path in paths.items():
@@ -257,6 +270,43 @@ class TestFleetProfile:
             assert node["count"] == 2  # one per shard
             self_s = node["total_s"] - sum(c["total_s"] for c in node["children"])
             assert self_s >= 0.0, name
+        report_spans = result.obs_report["spans"]
+        assert obs.find_span(report_spans, paths["pool.decode"])["count"] == 2
+        assert obs.find_span(
+            report_spans, "fleet.run_day/fleet.run_shards/telemetry.encode"
+        ) is None
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_wall_time_counts_shards_and_telemetry(
+        self, population, library, tmp_path, workers
+    ):
+        result, spans = _profiled_run(
+            population, library, shards=2, workers=workers,
+            telemetry=tmp_path / "telemetry.jsonl",
+        )
+        run_shards = obs.find_span(spans, "fleet.run_day/fleet.run_shards")
+        telemetry = obs.find_span(spans, "fleet.run_day/fleet.telemetry")
+        assert telemetry["count"] == 1
+        assert result.wall_time_s >= run_shards["total_s"] + telemetry["total_s"]
+        assert result.sessions_per_second == len(result.logs) / result.wall_time_s
+
+    def test_replay_spans_in_profiled_replay(self, population, library, tmp_path):
+        path = tmp_path / "telemetry.jsonl"
+        result = _run_fleet(population, library, shards=2, telemetry=path)
+        collector = obs.enable()
+        try:
+            logs = replay_log_collection(path)
+            links = replay_link_utilization(path)
+        finally:
+            obs.disable()
+        assert list(logs) == list(result.logs)
+        assert list(links.samples) == result.link_usage
+        spans = collector.snapshot()["spans"]
+        for name in ("telemetry.replay", "telemetry.replay_links"):
+            node = obs.find_span(spans, name)
+            assert node is not None, name
+            assert node["count"] == 1
+            assert node["total_s"] > 0.0
 
     def test_uncoupled_report_shows_trace_assembly_under_run_group(
         self, population, library

@@ -156,13 +156,11 @@ class TestTraceColumns:
         )
         arrays, strings, controller = _encode_result_arrays(output)
         _, nbytes = _layout_result(
-            None, arrays=arrays, strings=strings, controller=controller,
-            telemetry=None,
+            None, arrays=arrays, strings=strings, controller=controller
         )
         buffer = bytearray(nbytes)
         layout, end = _layout_result(
-            buffer, arrays=arrays, strings=strings, controller=controller,
-            telemetry=None,
+            buffer, arrays=arrays, strings=strings, controller=controller
         )
         assert end == nbytes
         return buffer, layout
@@ -286,7 +284,6 @@ class TestPooledBitIdentity:
             abr_factory=CacheRef(3),
             session_config=CacheRef(4),
             network=CacheRef(5),
-            telemetry=True,
         )
         assert len(pickle.dumps(descriptor)) < 512
 
@@ -532,7 +529,7 @@ class TestPooledObservability:
             obs.disable()
         counters = result.obs_report["metrics"]["counters"]
         assert counters["pool.shm_result_bytes"] > 0
-        assert counters.get("pool.shm_telemetry_bytes", 0) == 0  # no telemetry path
+        assert counters.get("pool.shm_telemetry_bytes", 0) == 0  # never in the pool
         assert counters["pool.dispatch_bytes"] < 4 * 2048
         names = obs.span_names(result.obs_report["spans"])
         assert "fleet.run_day/fleet.run_shards/shard.map/pool.dispatch" in names

@@ -6,12 +6,12 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.abr.bba import BBA
 from repro.abr.hyb import HYB
 from repro.analytics.logs import SessionLog
-from repro.fleet.telemetry import session_from_payload, session_payload
+from repro.fleet.telemetry import SessionColumns
 from repro.sim.session import (
     TRACE_RECORD_COLUMNS,
     ABRContext,
@@ -155,6 +155,26 @@ _RECORDS = st.lists(
     max_size=12,
 )
 _PYTHON_TYPES = {"int64": int, "float64": float, "bool": bool}
+#: Every float a trace can hold, NaN and the infinities included.
+_ANY_FLOAT = st.one_of(_FLOAT, st.sampled_from([math.nan, math.inf, -math.inf]))
+_ANY_RECORDS = st.lists(
+    st.builds(
+        SegmentRecord,
+        **{
+            name: _ANY_FLOAT if dtype.name == "float64" else _FIELD_STRATEGIES[dtype.name]
+            for name, dtype in TRACE_RECORD_COLUMNS
+        },
+    ),
+    max_size=6,
+)
+
+
+def _block_payload(logs):
+    return SessionColumns.from_sessions(logs).as_payload()
+
+
+def _from_block_payload(payload):
+    return SessionColumns.from_payload(payload).sessions()
 
 
 def _bits(value):
@@ -187,17 +207,60 @@ class TestColumnarTrace:
 
         log = SessionLog(user_id="u7", day=2, session_index=1, trace=trace,
                          mean_bandwidth_kbps=1234.5)
-        line = json.dumps(session_payload(log))
-        back = session_from_payload("u7", json.loads(line)).trace
+        line = json.dumps(_block_payload([log]))
+        back = _from_block_payload(json.loads(line))[0].trace
         assert back == trace
         for name, _ in TRACE_RECORD_COLUMNS:
             assert back.columns[name].tobytes() == trace.columns[name].tobytes()
         _assert_records_exact(back.records, records)
         # Re-encoding the replayed trace gives the same bytes.
-        assert json.dumps(session_payload(
-            SessionLog(user_id="u7", day=2, session_index=1, trace=back,
-                       mean_bandwidth_kbps=1234.5)
+        assert json.dumps(_block_payload(
+            [SessionLog(user_id="u7", day=2, session_index=1, trace=back,
+                        mean_bandwidth_kbps=1234.5)]
         )) == line
+
+    @settings(max_examples=60, deadline=None)
+    @given(sessions=st.lists(
+        st.tuples(_ANY_RECORDS, _ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT, st.booleans()),
+        min_size=1, max_size=5,
+    ))
+    @example(sessions=[
+        ([], math.nan, math.inf, -0.0, True),
+        ([SegmentRecord(0, 1, math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                        -5e-324, 0.0, 1.0, 2.0, math.nan, 3, -math.inf, True)],
+         5e-324, -math.inf, math.nan, False),
+    ])
+    def test_session_block_roundtrip_is_bit_exact(self, sessions):
+        """Several sessions (empty traces included) through one block."""
+        logs = [
+            SessionLog(
+                user_id=f"u{i % 2}", day=i, session_index=i,
+                trace=PlaybackTrace.from_records(
+                    records, user_id=f"u{i % 2}", video_duration=video,
+                    segment_duration=segment, trace_name=f"t{i % 3}",
+                    exited_early=exited,
+                ),
+                mean_bandwidth_kbps=mean_bw,
+            )
+            for i, (records, mean_bw, video, segment, exited) in enumerate(sessions)
+        ]
+        line = json.dumps(_block_payload(logs))
+        back = _from_block_payload(json.loads(line))
+        assert len(back) == len(logs)
+        for got, want in zip(back, logs):
+            assert (got.user_id, got.day, got.session_index) == (
+                want.user_id, want.day, want.session_index
+            )
+            assert _bits(got.mean_bandwidth_kbps) == _bits(want.mean_bandwidth_kbps)
+            for name in ("video_duration", "segment_duration"):
+                assert _bits(getattr(got.trace, name)) == _bits(getattr(want.trace, name))
+            assert got.trace.trace_name == want.trace.trace_name
+            assert got.trace.exited_early is want.trace.exited_early
+            for column, _ in TRACE_RECORD_COLUMNS:
+                assert got.trace.columns[column].tobytes() == (
+                    want.trace.columns[column].tobytes()
+                )
+        assert json.dumps(_block_payload(back)) == line
 
     def test_equality_is_bitwise(self):
         record = SegmentRecord(0, 1, 300.0, 600.0, 900.0, 0.5, 0.0, 0.0,

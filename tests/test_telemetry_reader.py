@@ -2,8 +2,8 @@
 
 The streaming aggregations must reproduce the in-memory
 ``fleet_metrics``/:class:`LogCollection` results **bit-for-bit** — same
-accumulation order, same float operations — while holding one session at a
-time.  The sidecar index must skip chunks correctly, survive round-trips,
+accumulation order, same float operations — while holding one session block
+at a time.  The sidecar index must skip chunks correctly, survive round-trips,
 and rebuild itself when the telemetry file changes underneath it.  Peak
 memory must stay flat as the file grows 10x.
 """
@@ -110,6 +110,18 @@ class TestStreamingExactness:
         assert read_run_summary(path, index=index) == replay_run_summary(path)
         assert read_run_summary(path) == replay_run_summary(path)
 
+    def test_old_session_events_are_rejected_by_name(self, tmp_path):
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            json.dumps({"run_id": "r", "shard": 0, "user_id": "u", "event": "session",
+                        "payload": {"columns": {}}}) + "\n"
+        )
+        with pytest.raises(ValueError, match="'columns' schema"):
+            stream_fleet_metrics(path)
+        index = TelemetryIndex.build(path)
+        with pytest.raises(ValueError, match="'columns' schema"):
+            stream_fleet_metrics(path, index=index)
+
     def test_empty_file_aggregates(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
@@ -130,8 +142,8 @@ class TestIndex:
         for event, total in index.event_counts.items():
             assert total == sum(c.counts.get(event, 0) for c in index.chunks)
         # every event is reachable through its chunks
-        assert index.count("session") == sum(
-            1 for _ in iter_events(path, event="session")
+        assert index.count("session_block") == sum(
+            1 for _ in iter_events(path, event="session_block")
         )
         assert index.count("run_end") == 1
 
@@ -149,8 +161,8 @@ class TestIndex:
     def test_last_event_uses_index(self, telemetry):
         path, _ = telemetry
         index = TelemetryIndex.build(path, events_per_chunk=4)
-        plain = last_event(path, "session")
-        indexed = last_event(path, "session", index=index)
+        plain = last_event(path, "session_block")
+        indexed = last_event(path, "session_block", index=index)
         assert plain is not None and indexed is not None
         assert plain.payload == indexed.payload
         assert last_event(path, "no_such_event", index=index) is None
@@ -220,11 +232,11 @@ class TestIndex:
 
 class TestBoundedMemory:
     def _enlarge(self, path, out, factor):
-        """Repeat the session events ``factor`` times, keeping run events."""
+        """Repeat the session blocks ``factor`` times, keeping run events."""
         lines = path.read_bytes().splitlines(keepends=True)
-        sessions = [l for l in lines if b'"event": "session"' in l or b'"event":"session"' in l]
+        sessions = [l for l in lines if b'"event": "session_block"' in l]
         others = [l for l in lines if l not in sessions]
-        assert sessions, "telemetry corpus has no session events"
+        assert sessions, "telemetry corpus has no session blocks"
         with out.open("wb") as handle:
             for line in others[:1]:
                 handle.write(line)
@@ -240,7 +252,7 @@ class TestBoundedMemory:
         return sum(
             len(line)
             for line in path.read_bytes().splitlines(keepends=True)
-            if b'"event": "session"' in line
+            if b'"event": "session_block"' in line
         )
 
     def _peak_bytes(self, path):
@@ -257,7 +269,7 @@ class TestBoundedMemory:
         path, _ = telemetry
         small = self._enlarge(path, tmp_path / "small.jsonl", 1)
         large = self._enlarge(path, tmp_path / "large.jsonl", 10)
-        # The session events grow tenfold; the run, link-utilization and
+        # The session blocks grow tenfold; the run, link-utilization and
         # report events around them are a fixed cost.
         growth = large.stat().st_size - small.stat().st_size
         assert growth == 9 * self._session_bytes(small)

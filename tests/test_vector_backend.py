@@ -32,7 +32,11 @@ from repro.fleet import (
     FleetOrchestrator,
     LingXiFleetFactory,
 )
-from repro.fleet.telemetry import TelemetryWriter, replay_log_collection, session_event
+from repro.fleet.telemetry import (
+    TelemetryWriter,
+    replay_log_collection,
+    session_block_events,
+)
 from repro.net import EdgeLink, NetworkTopology
 from repro.sim import (
     ScalarBackend,
@@ -145,16 +149,18 @@ class TestEquivalenceGate:
             ]
         )
         path = tmp_path / f"{abr_name}.jsonl"
+        vector_logs = [
+            SessionLog(
+                user_id=specs[i].user_id,
+                day=0,
+                session_index=i,
+                trace=trace,
+                mean_bandwidth_kbps=1500.0,
+            )
+            for i, trace in enumerate(get_backend("vector").run_batch(specs))
+        ]
         with TelemetryWriter(path) as writer:
-            for i, trace in enumerate(get_backend("vector").run_batch(specs)):
-                log = SessionLog(
-                    user_id=specs[i].user_id,
-                    day=0,
-                    session_index=i,
-                    trace=trace,
-                    mean_bandwidth_kbps=1500.0,
-                )
-                writer.emit(session_event("equivalence", 0, log))
+            writer.emit_many(session_block_events("equivalence", 0, vector_logs))
         replayed = replay_log_collection(path)
         np.testing.assert_array_equal(
             scalar_logs.exit_rate_by_stall_time(STALL_BINS, min_samples=1),
